@@ -6,8 +6,8 @@
    layer that survives: compact, checksummed event frames appended to a
    bounded ring of stable segments, framed with exactly the WAL's
    discipline ([u32 payload-len | u32 crc32(payload) | payload], see
-   Stable_log.encode_frame) so a torn recorder tail is detected and
-   truncated during the scan just like a torn log tail.
+   Stable_log) so a torn recorder tail is detected and truncated during
+   the scan just like a torn log tail.
 
    The model mirrors the simulated WAL medium: segments are "stable
    bytes" — a crash discards the process but keeps them, except for the

@@ -213,42 +213,46 @@ let size_payload (payload : Record.payload) =
 
 let encoded_size r = size_i64 + size_payload (Record.payload r)
 
-(* --- decoding --- *)
+(* --- decoding ---
+
+   The cursor reads a window [pos, limit) of a byte array in place —
+   the stable log decodes frames straight out of its medium — and the
+   window's end is a hard limit: a field that runs past it is a
+   truncated record, never bytes borrowed from whatever follows. *)
 
 type cursor = {
-  data : string;
+  data : Bytes.t;
+  limit : int;
   mutable pos : int;
 }
 
-let cursor data = { data; pos = 0 }
-
 let need c n =
-  if c.pos + n > String.length c.data then
-    fail "truncated record: need %d bytes at offset %d of %d" n c.pos (String.length c.data)
+  if n > c.limit - c.pos then
+    fail "truncated record: need %d bytes at offset %d, window ends at %d" n c.pos c.limit
 
 let get_u8 c =
   need c 1;
-  let n = Char.code c.data.[c.pos] in
+  let n = Bytes.get_uint8 c.data c.pos in
   c.pos <- c.pos + 1;
   n
 
 let get_u32 c =
   need c 4;
-  let n = Int32.to_int (String.get_int32_be c.data c.pos) in
+  let n = Int32.to_int (Bytes.get_int32_be c.data c.pos) in
   c.pos <- c.pos + 4;
   if n < 0 then fail "negative length";
   n
 
 let get_i64 c =
   need c 8;
-  let n = Int64.to_int (String.get_int64_be c.data c.pos) in
+  let n = Int64.to_int (Bytes.get_int64_be c.data c.pos) in
   c.pos <- c.pos + 8;
   n
 
 let get_string c =
   let len = get_u32 c in
   need c len;
-  let s = String.sub c.data c.pos len in
+  let s = Bytes.sub_string c.data c.pos len in
   c.pos <- c.pos + len;
   s
 
@@ -341,12 +345,14 @@ let get_payload c : Record.payload =
     Record.Shard_checkpoint { shard_pages; horizon; shard_index; shard_total; shard_note = get_string c }
   | tag -> fail "unknown record tag %d" tag
 
-let decode_record data =
-  let c = cursor data in
+let decode_window data ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length data - len then invalid_arg "Codec.decode_window";
+  let c = { data; limit = pos + len; pos } in
   let raw_lsn = get_i64 c in
   if raw_lsn < 0 then fail "negative lsn %d" raw_lsn;
   let lsn = Lsn.of_int raw_lsn in
   let payload = get_payload c in
-  if c.pos <> String.length data then
-    fail "trailing bytes: %d of %d consumed" c.pos (String.length data);
+  if c.pos <> c.limit then fail "trailing bytes: %d of %d consumed" (c.pos - pos) len;
   Record.make ~lsn payload
+
+let decode_record s = decode_window (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

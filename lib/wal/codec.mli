@@ -12,6 +12,13 @@ val encode_record : Record.t -> string
 val decode_record : string -> Record.t
 (** @raise Decode_error on truncation, unknown tags or trailing bytes. *)
 
+val decode_window : Bytes.t -> pos:int -> len:int -> Record.t
+(** Decode the record encoded in bytes [pos..pos+len-1], in place. The
+    window must hold exactly one record: a field running past its end is
+    a truncation, whatever bytes follow.
+    @raise Decode_error on truncation, unknown tags or trailing bytes.
+    @raise Invalid_argument if the window is not inside the bytes. *)
+
 val encoded_size : Record.t -> int
 (** Exact wire size of the record (excluding framing), computed
     arithmetically without encoding — allocation-free, safe on the

@@ -217,20 +217,16 @@ let detach_group t =
   | None -> ()
   | Some g -> g.g_detach ()
 
-let rebuild_from_records t records =
-  t.arr <- Array.of_list records;
-  t.len <- Array.length t.arr;
-  t.ckpts <- [];
-  Array.iteri
-    (fun i r -> if Record.is_checkpoint r then t.ckpts <- i :: t.ckpts)
-    t.arr;
-  t.flushed <- (if t.len = 0 then Lsn.zero else Record.lsn t.arr.(t.len - 1))
-
 let restore_from_medium t =
   (* The scan is the source of truth after a crash: whatever frames
-     survive (and checksum) are the log. *)
-  let survivors = Stable_log.truncate_torn t.medium in
-  rebuild_from_records t survivors;
+     survive (and checksum) are the log. They refill the slot array in
+     place, in LSN order. *)
+  t.len <- 0;
+  t.ckpts <- [];
+  Stable_log.truncate_torn t.medium ~push:(fun r ->
+      if Record.is_checkpoint r then t.ckpts <- t.len :: t.ckpts;
+      push t r);
+  t.flushed <- (if t.len = 0 then Lsn.zero else Record.lsn t.arr.(t.len - 1));
   Atomic.set t.counters.a_stable_bytes (Stable_log.byte_size t.medium);
   Metrics.incr c_restores;
   if Trace.enabled () then
@@ -261,12 +257,11 @@ let crash_torn t ~drop =
      this models the batch racing the crash: its waiters were never
      completed, so nothing observable claimed the torn frames. *)
   notify_group_crash t;
-  let buf = Buffer.create 256 in
+  let before = Stable_log.byte_size t.medium in
   for i = Lsn.to_int t.flushed to t.len - 1 do
-    Stable_log.encode_frame buf (Codec.encode_record t.arr.(i))
+    ignore (Stable_log.append_record t.medium t.arr.(i))
   done;
-  let written = max 0 (Buffer.length buf - drop) in
-  ignore (Stable_log.append_raw t.medium (Buffer.sub buf 0 written));
+  Stable_log.tear t.medium ~drop:(min drop (Stable_log.byte_size t.medium - before));
   restore_from_medium t
 
 let slice t ~lo ~hi =

@@ -9,9 +9,10 @@
    glosses over.
 
    The medium is a growable byte array with an explicit length, so an
-   append is one frame encoding into a reused scratch buffer plus a
-   blit, and tearing/truncation just move the length — no wholesale
-   copies of the log on the hot path. *)
+   append is one blit of the payload into the medium with its header
+   written in place, and tearing/truncation just move the length — no
+   wholesale copies of the log on the hot path. The scan checksums and
+   decodes every frame in place, in the medium's own bytes. *)
 
 module Metrics = Redo_obs.Metrics
 module Trace = Redo_obs.Trace
@@ -26,17 +27,15 @@ let h_scan_ns = Metrics.histogram "stable_log.scan_ns"
 type t = {
   mutable data : Bytes.t;
   mutable len : int;  (* bytes 0..len-1 are the log; the rest is slack *)
-  mutable frames : int;
-  scratch : Buffer.t;  (* reused per-append frame staging *)
 }
 
 let header_size = 8
 
 let create ?(capacity = 1024) () =
-  { data = Bytes.create (max 64 capacity); len = 0; frames = 0; scratch = Buffer.create 256 }
+  { data = Bytes.create (max 64 capacity); len = 0 }
 
 let byte_size t = t.len
-let frame_count t = t.frames
+let contents t = Bytes.sub_string t.data 0 t.len
 
 let ensure t extra =
   let needed = t.len + extra in
@@ -50,38 +49,25 @@ let ensure t extra =
     t.data <- data
   end
 
-let encode_frame buf payload =
-  Buffer.add_int32_be buf (Int32.of_int (String.length payload));
-  Buffer.add_int32_be buf (Int32.of_int (Checksum.string payload));
-  Buffer.add_string buf payload
-
+(* The payload goes straight to its place in the medium; the header
+   follows, its CRC taken over the medium's own bytes. *)
 let append t payload =
-  Buffer.clear t.scratch;
-  encode_frame t.scratch payload;
-  let n = Buffer.length t.scratch in
-  ensure t n;
-  Buffer.blit t.scratch 0 t.data t.len n;
-  t.len <- t.len + n;
-  t.frames <- t.frames + 1;
+  let n = String.length payload in
+  ensure t (header_size + n);
+  let pos = t.len in
+  Bytes.blit_string payload 0 t.data (pos + header_size) n;
+  Bytes.set_int32_be t.data pos (Int32.of_int n);
+  let crc = Checksum.update 0 t.data ~pos:(pos + header_size) ~len:n in
+  Bytes.set_int32_be t.data (pos + 4) (Int32.of_int crc);
+  t.len <- pos + header_size + n;
   Metrics.incr c_frames;
-  n
+  header_size + n
 
 let append_record t record = append t (Codec.encode_record record)
 
-(* Append pre-framed bytes verbatim (possibly ending mid-frame): used to
-   model a force interrupted by a crash. *)
-let append_raw t bytes =
-  let n = String.length bytes in
-  ensure t n;
-  Bytes.blit_string bytes 0 t.data t.len n;
-  t.len <- t.len + n;
-  n
-
 (* Simulate a torn write: chop the final [drop] bytes (at most one
    frame's worth matters; chopping into a frame makes it unreadable). *)
-let tear t ~drop =
-  if drop > 0 then t.len <- max 0 (t.len - drop)
-  (* frames is now an overestimate; scan is the source of truth. *)
+let tear t ~drop = if drop > 0 then t.len <- max 0 (t.len - drop)
 
 type scan_result = {
   records : Record.t list;
@@ -89,49 +75,56 @@ type scan_result = {
   torn : bool;  (* the tail was cut short or corrupt *)
 }
 
-let scan t =
+(* The scan proper: each frame's header bounds, CRC and decode are
+   checked in the medium's bytes — no payload is copied out — and the
+   surviving records go to [push] in order. Returns where the
+   trustworthy prefix ends, whether a torn tail follows it, and how many
+   records it holds. *)
+let scan_frames t ~push =
   let t0 = Metrics.now_ns () in
   let data = t.data and len = t.len in
-  let rec go pos acc =
-    if pos = len then { records = List.rev acc; valid_bytes = pos; torn = false }
-    else if pos + header_size > len then
-      { records = List.rev acc; valid_bytes = pos; torn = true }
+  let count = ref 0 in
+  let rec go pos =
+    if pos = len then pos, false
+    else if pos + header_size > len then pos, true
     else
       let payload_len = Int32.to_int (Bytes.get_int32_be data pos) in
       let crc = Int32.to_int (Bytes.get_int32_be data (pos + 4)) land 0xFFFFFFFF in
-      if payload_len < 0 || pos + header_size + payload_len > len then
-        { records = List.rev acc; valid_bytes = pos; torn = true }
+      let payload_pos = pos + header_size in
+      if payload_len < 0 || payload_len > len - payload_pos then pos, true
+      else if Checksum.update 0 data ~pos:payload_pos ~len:payload_len <> crc then pos, true
       else
-        let payload = Bytes.sub_string data (pos + header_size) payload_len in
-        if Checksum.string payload <> crc then
-          { records = List.rev acc; valid_bytes = pos; torn = true }
-        else
-          match Codec.decode_record payload with
-          | record -> go (pos + header_size + payload_len) (record :: acc)
-          | exception Codec.Decode_error _ ->
-            { records = List.rev acc; valid_bytes = pos; torn = true }
+        match Codec.decode_window data ~pos:payload_pos ~len:payload_len with
+        | record ->
+          push record;
+          incr count;
+          go (payload_pos + payload_len)
+        | exception Codec.Decode_error _ -> pos, true
   in
-  let result = go 0 [] in
+  let end_pos, cut = go 0 in
   Metrics.incr c_scans;
-  Metrics.add c_scan_records (List.length result.records);
-  if result.torn then Metrics.incr c_torn_scans;
+  Metrics.add c_scan_records !count;
+  if cut then Metrics.incr c_torn_scans;
   Metrics.observe h_scan_ns (Metrics.now_ns () -. t0);
-  result
+  end_pos, cut, !count
 
-let truncate_torn t =
-  let result = scan t in
-  if result.torn then begin
-    Metrics.add c_truncated_bytes (t.len - result.valid_bytes);
+let scan t =
+  let acc = ref [] in
+  let valid_bytes, torn, _ = scan_frames t ~push:(fun r -> acc := r :: !acc) in
+  { records = List.rev !acc; valid_bytes; torn }
+
+let truncate_torn t ~push =
+  let end_pos, cut, count = scan_frames t ~push in
+  if cut then begin
+    Metrics.add c_truncated_bytes (t.len - end_pos);
     if Trace.enabled () then
       Trace.emit "stable_log.truncated"
         [
-          "dropped_bytes", Trace.Int (t.len - result.valid_bytes);
-          "surviving_records", Trace.Int (List.length result.records);
+          "dropped_bytes", Trace.Int (t.len - end_pos);
+          "surviving_records", Trace.Int count;
         ];
-    t.len <- result.valid_bytes;
-    t.frames <- List.length result.records
-  end;
-  result.records
+    t.len <- end_pos
+  end
 
 let corrupt_byte t ~pos =
   if pos < 0 || pos >= t.len then invalid_arg "Stable_log.corrupt_byte";

@@ -14,12 +14,9 @@ val create : ?capacity:int -> unit -> t
     volume keeps the append path free of growth copies. *)
 
 val byte_size : t -> int
-val frame_count : t -> int
 
-val encode_frame : Buffer.t -> string -> unit
-(** Append one [[u32 length | u32 crc32 | payload]] frame for [payload]
-    to the buffer — the one frame layout, shared by {!append} and any
-    caller staging frames itself (e.g. a torn-force simulation). *)
+val contents : t -> string
+(** A copy of the medium's bytes (forensics and tests). *)
 
 val append : t -> string -> int
 (** Append one frame; returns the bytes written (payload + 8). *)
@@ -27,12 +24,9 @@ val append : t -> string -> int
 val append_record : t -> Record.t -> int
 (** [append] of {!Codec.encode_record}. *)
 
-val append_raw : t -> string -> int
-(** Append pre-framed bytes verbatim, possibly ending mid-frame — a
-    force interrupted by a crash. *)
-
 val tear : t -> drop:int -> unit
-(** Crash-injection: chop the final [drop] bytes (a torn write). *)
+(** Crash-injection: chop the final [drop] bytes (a torn write, e.g. a
+    force interrupted mid-frame). *)
 
 type scan_result = {
   records : Record.t list;  (** Records recovered, in append order. *)
@@ -41,10 +35,13 @@ type scan_result = {
 }
 
 val scan : t -> scan_result
+(** Each frame's header bounds, CRC and decode are checked in place, in
+    the medium's bytes. A frame that passes its CRC but does not decode
+    ends the scan as torn, like a short or corrupt one. *)
 
-val truncate_torn : t -> Record.t list
-(** Scan, discard any torn tail from the medium, return the surviving
-    records. *)
+val truncate_torn : t -> push:(Record.t -> unit) -> unit
+(** Scan as {!scan} does, handing each surviving record to [push] in
+    order, then discard any torn tail from the medium. *)
 
 val corrupt_byte : t -> pos:int -> unit
 (** Fault injection: flip one byte in place.

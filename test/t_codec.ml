@@ -8,15 +8,80 @@ let test_crc_known_value () =
 let test_crc_incremental () =
   let whole = Checksum.string "hello world" in
   let b = Bytes.of_string "hello world" in
+  (* [update] un-finalizes the running CRC it is given, so feeding the
+     rest of the bytes continues the one-shot CRC. *)
   let crc = Checksum.update 0 b ~pos:0 ~len:5 in
-  (* Incremental over the complemented running value: our [update] folds
-     whole chunks, so recombining means feeding the rest. *)
   let crc = Checksum.update crc b ~pos:5 ~len:6 in
-  (* update is not chunk-composable the naive way for CRC32 without the
-     final xor dance; verify at least that a single full pass matches
-     [bytes]. *)
-  ignore crc;
+  Alcotest.(check int) "chunked = whole" whole crc;
   Alcotest.(check int) "bytes = string" whole (Checksum.bytes b)
+
+(* The bytewise table-driven CRC-32: the reference the slicing-by-8
+   [Checksum.update] is held to. *)
+let reference_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let reference_crc crc b ~pos ~len =
+  let crc = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    crc := reference_table.((!crc lxor Char.code (Bytes.get b i)) land 0xff) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let rand_bytes rng n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256))
+
+let test_crc_matches_reference () =
+  let rng = Random.State.make [| 0xc4c |] in
+  (* Every length through the 8-byte steps and the bytewise tail, at
+     every alignment of [pos] within a step. *)
+  for len = 0 to 40 do
+    for pos = 0 to 8 do
+      let b = rand_bytes rng (pos + len + Random.State.int rng 9) in
+      Alcotest.(check int)
+        (Printf.sprintf "len %d pos %d" len pos)
+        (reference_crc 0 b ~pos ~len) (Checksum.update 0 b ~pos ~len)
+    done
+  done
+
+let prop_crc_matches_reference seed =
+  let rng = Random.State.make [| seed; 0xc4c |] in
+  let len = Random.State.int rng 4097 and pos = Random.State.int rng 16 in
+  let b = rand_bytes rng (pos + len + Random.State.int rng 16) in
+  let init = Random.State.full_int rng 0x1_0000_0000 in
+  Checksum.update 0 b ~pos ~len = reference_crc 0 b ~pos ~len
+  && Checksum.update init b ~pos ~len = reference_crc init b ~pos ~len
+
+let prop_crc_chunked seed =
+  (* Feeding a window in random consecutive chunks equals one update. *)
+  let rng = Random.State.make [| seed; 0xc4c2 |] in
+  let len = Random.State.int rng 4097 and pos = Random.State.int rng 16 in
+  let b = rand_bytes rng (pos + len) in
+  let rec feed crc at =
+    if at = pos + len then crc
+    else
+      let n = 1 + Random.State.int rng (min 37 (pos + len - at)) in
+      feed (Checksum.update crc b ~pos:at ~len:n) (at + n)
+  in
+  feed 0 pos = Checksum.update 0 b ~pos ~len
+
+let test_crc_rejects_out_of_range () =
+  let b = Bytes.create 16 in
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | crc -> Alcotest.failf "%s: returned %x instead of raising" what crc
+  in
+  rejects "past the end" (fun () -> Checksum.bytes ~pos:8 ~len:64 b);
+  rejects "before the start" (fun () -> Checksum.bytes ~pos:(-4) ~len:4 b);
+  rejects "negative length" (fun () -> Checksum.update 0 b ~pos:4 ~len:(-1));
+  rejects "start past the end" (fun () -> Checksum.bytes ~pos:17 b);
+  rejects "one byte over" (fun () -> Checksum.update 0 b ~pos:1 ~len:16);
+  Alcotest.(check int) "empty window at the end" 0 (Checksum.bytes ~pos:16 b);
+  Alcotest.(check int) "whole window" (Checksum.bytes b) (Checksum.update 0 b ~pos:0 ~len:16)
 
 (* --- random record generation for fuzzing --- *)
 
@@ -141,8 +206,9 @@ let test_stable_log_torn_tail () =
   let result = Stable_log.scan log in
   Alcotest.(check bool) "torn detected" true result.Stable_log.torn;
   Alcotest.(check int) "one record lost" 9 (List.length result.Stable_log.records);
-  let survivors = Stable_log.truncate_torn log in
-  Alcotest.(check int) "medium truncated" 9 (List.length survivors);
+  let survivors = ref 0 in
+  Stable_log.truncate_torn log ~push:(fun _ -> incr survivors);
+  Alcotest.(check int) "medium truncated" 9 !survivors;
   Alcotest.(check bool) "clean after truncation" false (Stable_log.scan log).Stable_log.torn
 
 let test_stable_log_corruption () =
@@ -172,6 +238,111 @@ let prop_torn_tail_always_clean seed =
     | _ :: _, [] -> false
   in
   is_prefix result.Stable_log.records records
+
+(* In-place decoding: a record embedded anywhere in a byte array
+   decodes from its window alone, and the window's end is a hard limit
+   even when more bytes follow it. *)
+let prop_decode_window seed =
+  let rng = Random.State.make [| seed; 0x3d0 |] in
+  let r = rand_record rng in
+  let enc = Codec.encode_record r in
+  let len = String.length enc in
+  let pos = Random.State.int rng 64 in
+  let b = rand_bytes rng (pos + len + Random.State.int rng 64) in
+  Bytes.blit_string enc 0 b pos len;
+  let short =
+    match Codec.decode_window b ~pos ~len:(len - 1) with
+    | exception Codec.Decode_error _ -> true
+    | _ -> false
+  in
+  Codec.decode_window b ~pos ~len = r && short
+
+let test_decode_window_rejects_out_of_range () =
+  let r = Record.make ~lsn:(Lsn.of_int 1) (Record.Logical (Record.Db_del "k")) in
+  let b = Bytes.of_string (Codec.encode_record r) in
+  let n = Bytes.length b in
+  List.iter
+    (fun (pos, len) ->
+      match Codec.decode_window b ~pos ~len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "window (%d, %d) of %d bytes accepted" pos len n)
+    [ -1, n; 1, n; 0, n + 1; 0, -1 ]
+
+(* A frame whose length field was shortened by [k] bytes, with its CRC
+   recomputed over the shortened payload and valid frames after it: the
+   CRC passes but the record cannot decode inside its window, so the
+   scan must end there as torn rather than decode it with the next
+   frame's bytes. *)
+let prop_short_frame_ends_scan seed =
+  let rng = Random.State.make [| seed; 0x5407 |] in
+  let records = List.init (2 + Random.State.int rng 8) (fun _ -> rand_record rng) in
+  let bad = Random.State.int rng (List.length records - 1) in
+  let log = Stable_log.create () in
+  List.iteri
+    (fun i r ->
+      let payload = Codec.encode_record r in
+      let payload =
+        if i <> bad then payload
+        else
+          let k = 1 + Random.State.int rng (String.length payload) in
+          String.sub payload 0 (String.length payload - k)
+      in
+      ignore (Stable_log.append log payload))
+    records;
+  let bad_offset =
+    List.fold_left ( + ) 0
+      (List.filteri (fun i _ -> i < bad) (List.map (fun r -> 8 + Codec.encoded_size r) records))
+  in
+  let result = Stable_log.scan log in
+  result.Stable_log.torn
+  && result.Stable_log.valid_bytes = bad_offset
+  && result.Stable_log.records = List.filteri (fun i _ -> i < bad) records
+
+(* The in-place append writes each record as the frame
+   [u32 BE length | u32 BE crc32(payload) | payload], with the payload
+   [Codec.encode_record]'s string: the wire format, and so the bytes
+   written per record, are unchanged. The expected frames are built
+   here, from the reference CRC, and the medium grows past its initial
+   capacity on the way. *)
+let prop_append_record_bytes seed =
+  let rng = Random.State.make [| seed; 0xa99 |] in
+  let records = List.init (1 + Random.State.int rng 20) (fun _ -> rand_record rng) in
+  let log = Stable_log.create ~capacity:64 () in
+  let expected = Buffer.create 256 in
+  List.for_all
+    (fun r ->
+      let payload = Codec.encode_record r in
+      let n = String.length payload in
+      Buffer.add_int32_be expected (Int32.of_int n);
+      Buffer.add_int32_be expected
+        (Int32.of_int (reference_crc 0 (Bytes.of_string payload) ~pos:0 ~len:n));
+      Buffer.add_string expected payload;
+      Stable_log.append_record log r = 8 + n)
+    records
+  && Stable_log.contents log = Buffer.contents expected
+
+(* After a crash the scan refills the log manager's slot array in
+   place: the survivors read back in order and new appends continue
+   their LSNs, past the array's growth points. *)
+let test_restore_refills_slots () =
+  let log = Log_manager.create () in
+  let n = 3000 in
+  for i = 1 to n do
+    ignore (Log_manager.append log (Record.Logical (Record.Db_put (string_of_int i, "v"))))
+  done;
+  let before = Log_manager.all_records log in
+  Log_manager.force_all log;
+  Log_manager.crash log;
+  Alcotest.(check bool) "survivors read back" true (Log_manager.stable_records log = before);
+  for i = 1 to n do
+    let lsn = Log_manager.append log (Record.Logical (Record.Db_del (string_of_int i))) in
+    if Lsn.to_int lsn <> n + i then Alcotest.failf "append %d got lsn %d" i (Lsn.to_int lsn)
+  done;
+  Log_manager.force_all log;
+  Log_manager.crash log;
+  Alcotest.(check int) "both runs survive" (2 * n) (List.length (Log_manager.stable_records log));
+  Alcotest.(check bool) "first run intact" true
+    (List.filteri (fun i _ -> i < n) (Log_manager.stable_records log) = before)
 
 (* Shard-checkpoint records hit the same wire format as everything else,
    including the empty edge cases the fuzz generator rarely produces. *)
@@ -252,6 +423,12 @@ let suite =
   [
     Alcotest.test_case "crc known value" `Quick test_crc_known_value;
     Alcotest.test_case "crc bytes = string" `Quick test_crc_incremental;
+    Alcotest.test_case "crc = bytewise reference, lengths 0-40 at every alignment" `Quick
+      test_crc_matches_reference;
+    Alcotest.test_case "crc rejects out-of-range windows" `Quick test_crc_rejects_out_of_range;
+    Alcotest.test_case "decode_window rejects out-of-range windows" `Quick
+      test_decode_window_rejects_out_of_range;
+    Alcotest.test_case "crash restore refills the slot array" `Quick test_restore_refills_slots;
     Alcotest.test_case "decode rejects garbage" `Quick test_decode_rejects_garbage;
     Alcotest.test_case "stable log roundtrip" `Quick test_stable_log_roundtrip;
     Alcotest.test_case "stable log torn tail" `Quick test_stable_log_torn_tail;
@@ -262,4 +439,11 @@ let suite =
     Util.qtest ~count:300 "codec roundtrip (fuzz)" prop_roundtrip;
     Util.qtest ~count:300 "encoded_size matches encoder (fuzz)" prop_encoded_size;
     Util.qtest ~count:200 "torn logs always scan to a clean prefix" prop_torn_tail_always_clean;
+    Util.qtest ~count:300 "crc = bytewise reference, up to 4 KiB (fuzz)" prop_crc_matches_reference;
+    Util.qtest ~count:300 "crc chunked = one-shot (fuzz)" prop_crc_chunked;
+    Util.qtest ~count:300 "decode from a window inside random bytes (fuzz)" prop_decode_window;
+    Util.qtest ~count:300 "CRC-valid short frame ends the scan as torn (fuzz)"
+      prop_short_frame_ends_scan;
+    Util.qtest ~count:200 "append_record = reference frames, byte for byte (fuzz)"
+      prop_append_record_bytes;
   ]
