@@ -313,8 +313,8 @@ let e7_faults () =
 (* (BENCH_1's 1k rows were dominated by cold-start cost), carries the  *)
 (* metric counters the measured round moved — the work profile, not    *)
 (* just the wall time — and a "domains" field (1 for the sequential    *)
-(* benches; 1/2/4 for recover_parallel, where the domains=1 row is the *)
-(* zero-overhead sequential fallback). The recover_parallel rows also  *)
+(* benches; 1/2/4 for the recover_parallel rows, whose domains=1       *)
+(* row times the sequential Log_order pass). Those rows also           *)
 (* carry a "profile" object from a separate span-recorded pass (spans  *)
 (* stay off during the timed rounds): the critical path through the    *)
 (* recovery's span tree and the shard-imbalance numbers, so a          *)
@@ -474,10 +474,14 @@ let perf () =
       let par_log = sharded_log ~components:8 ~vars_per:4 n in
       List.iter
         (fun domains ->
+          let schedule =
+            if domains = 1 then Recovery.Log_order
+            else Recovery.Shards { domains; pool = None; shard_sink = None }
+          in
           let replay () =
             ignore
-              (Recovery.recover_parallel ~domains Recovery.always_redo ~state:State.empty
-                 ~log:par_log ~checkpoint:Digraph.Node_set.empty)
+              (Recovery.recover ~schedule Recovery.always_redo ~state:State.empty ~log:par_log
+                 ~checkpoint:Digraph.Node_set.empty)
           in
           record "recover_parallel" ~domains ~profile:replay n
             ~setup:(fun () -> ())
@@ -594,12 +598,14 @@ let e12_checkpoint () =
       (* Post-checkpoint recovery: same redo machinery, the checkpoint
          expressed either as one global cut or as per-shard horizons. *)
       let log, global, horizons = skewed_claims n in
+      let recover ?pool ~domains ~checkpoint ~horizons () =
+        Recovery.recover
+          ~schedule:(Recovery.Shards { domains; pool; shard_sink = None })
+          ~horizons Recovery.always_redo ~state:State.empty ~log ~checkpoint
+      in
       let shard_stats ~checkpoint ~horizons =
-        let r =
-          Recovery.recover_sharded Recovery.always_redo ~state:State.empty ~log ~checkpoint
-            ~horizons
-        in
-        ( Digraph.Node_set.cardinal r.Recovery.merged.Recovery.redo_set,
+        let r = recover ~domains:1 ~checkpoint ~horizons () in
+        ( Digraph.Node_set.cardinal r.Recovery.redo_set,
           List.fold_left
             (fun acc (sr : Recovery.shard_run) ->
               max acc (Digraph.Node_set.cardinal sr.Recovery.shard_result.Recovery.redo_set))
@@ -620,18 +626,13 @@ let e12_checkpoint () =
             ~extra:[ "replayed", g_total; "largest_shard_replay", g_largest ]
             n
             ~setup:(fun () -> ())
-            (fun () ->
-              ignore
-                (Recovery.recover_sharded ?pool ~domains Recovery.always_redo
-                   ~state:State.empty ~log ~checkpoint:global ~horizons:[]));
+            (fun () -> ignore (recover ?pool ~domains ~checkpoint:global ~horizons:[] ()));
           record "recover_shard_horizons" ~domains
             ~extra:[ "replayed", s_total; "largest_shard_replay", s_largest ]
             n
             ~setup:(fun () -> ())
             (fun () ->
-              ignore
-                (Recovery.recover_sharded ?pool ~domains Recovery.always_redo
-                   ~state:State.empty ~log ~checkpoint:Digraph.Node_set.empty ~horizons)))
+              ignore (recover ?pool ~domains ~checkpoint:Digraph.Node_set.empty ~horizons ())))
         [ 1; 2; 4 ])
     perf_sizes;
   emit_json ~file:"BENCH_5.json" (List.rev !rows);

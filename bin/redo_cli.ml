@@ -689,11 +689,15 @@ let serve_bench shards ops keys theta partitions cache restart do_check do_triag
   let rng = Random.State.make [| 0x5e12e; shards; ops |] in
   let before = Redo_obs.Metrics.counter_values () in
   let t0 = Unix.gettimeofday () in
+  (* Checkpoints at a quarter, half and three quarters of the run: the
+     crash at the end then leaves the last quarter for recovery to
+     replay. *)
+  let quarter = max 1 (ops / 4) in
   for i = 1 to ops do
     let key = Redo_workload.Zipf.sample_key zipf rng in
     if i mod 10 = 0 then SS.delete store key else SS.put store key (Printf.sprintf "v%d" i);
     if i mod 512 = 0 then Redo_wal.Log_manager.await (SS.put_durable store key "commit");
-    if i mod (max 1 (ops / 4)) = 0 then ignore (SS.checkpoint_sharded store)
+    if i mod quarter = 0 && i / quarter <= 3 then ignore (SS.checkpoint_sharded store)
   done;
   SS.sync store;
   let seconds = Unix.gettimeofday () -. t0 in

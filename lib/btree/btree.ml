@@ -327,12 +327,6 @@ let crash_torn t ~drop =
   Log_manager.crash_torn t.log ~drop;
   after_crash t
 
-let scan_start t =
-  match Log_manager.last_stable_checkpoint t.log with
-  | None -> Lsn.of_int 1
-  | Some (ckpt_lsn, { Record.dirty_pages; _ }) ->
-    List.fold_left (fun acc (_, rec_lsn) -> min acc rec_lsn) (Lsn.next ckpt_lsn) dirty_pages
-
 let stable_universe t =
   let from_disk = Disk.page_ids t.disk in
   let from_log =
@@ -358,34 +352,23 @@ let recover t =
   let covered pid lsn =
     match List.assoc_opt pid horizons with Some h -> Lsn.(lsn <= h) | None -> false
   in
-  let redo_page pid lsn apply =
-    if covered pid lsn then begin
-      incr skipped;
-      false
-    end
-    else
-    let page = Cache.read t.cache pid in
-    if Lsn.(Page.lsn page < lsn) then begin
-      Cache.update t.cache pid ~lsn apply;
-      incr redone;
-      true
-    end
-    else begin
-      incr skipped;
-      false
-    end
+  let redo_page pid lsn update arg =
+    let redo =
+      (not (covered pid lsn)) && Redo_restart.Page_redo.redo_one t.cache ~pid ~lsn update arg
+    in
+    if redo then incr redone else incr skipped;
+    redo
   in
+  let apply_multi mop _ = Multi_op.apply mop ~read:(read_data t) in
   List.iter
     (fun r ->
       incr scanned;
       match Record.payload r with
       | Record.Physiological { pid; op } ->
-        ignore (redo_page pid (Record.lsn r) (Page_op.apply op))
+        ignore (redo_page pid (Record.lsn r) Page_op.apply op)
       | Record.Multi mop ->
         let dst = match Multi_op.writes mop with [ d ] -> d | _ -> assert false in
-        let redone_now =
-          redo_page dst (Record.lsn r) (fun _ -> Multi_op.apply mop ~read:(read_data t))
-        in
+        let redone_now = redo_page dst (Record.lsn r) apply_multi mop in
         (* The redone copy is dirty again: re-register the careful write
            order so a crash during/after recovery stays safe. *)
         if redone_now then
@@ -393,7 +376,7 @@ let recover t =
       | Record.Checkpoint _ | Record.Shard_checkpoint _ -> ()
       | Record.Physical _ | Record.Logical _ | Record.App_op _ ->
         invalid_arg "Btree recovery: unexpected record kind")
-    (Log_manager.records_from t.log ~from:(scan_start t));
+    (Log_manager.records_from t.log ~from:(Redo_restart.Page_redo.scan_start t.log));
   !scanned, !redone, !skipped
 
 let durable_ops t =

@@ -85,7 +85,6 @@ val recover : t -> int * int * int
     operations are redone against the recovered-so-far pages and
     re-register their write-order edges. *)
 
-val scan_start : t -> Lsn.t
 val stable_universe : t -> int list
 (** Page ids mentioned by the stable disk or stable log. *)
 

@@ -238,7 +238,8 @@ let install_run ?pool ~domains ?before_install ~note cache log =
     records := lsn :: !records;
     Metrics.incr c_shard_records;
     (* The pages list rides along so post-crash triage can check the
-       surviving record set against the plan recover_sharded computes. *)
+       surviving record set against the per-page horizons recovery
+       reads. *)
     if Flight.enabled () then
       Flight.emit
         (Flight.Shard_ckpt

@@ -35,10 +35,25 @@ type iteration = {
   unrecovered_before : Digraph.Node_set.t;
 }
 
+type schedule =
+  | Log_order
+  | Shards of {
+      domains : int;
+      pool : Domain_pool.t option;
+      shard_sink : (Partition.shard -> (iteration -> unit) option) option;
+    }
+  | Touch_order of Var.t list option
+
 type result = {
   final : State.t;
   redo_set : Digraph.Node_set.t;
   iterations : iteration list;
+  shard_runs : shard_run list;
+}
+
+and shard_run = {
+  shard : Partition.shard;
+  shard_result : result;
 }
 
 let no_analysis : unit spec -> unit spec = fun s -> s
@@ -103,7 +118,7 @@ let run_loop ~trace ~sink ~stats spec ~records ~state ~log ~unrecovered =
   let prof = Span.enabled () in
   let rec loop records state unrecovered analysis redo_set iterations =
     match records with
-    | [] -> { final = state; redo_set; iterations = List.rev iterations }
+    | [] -> { final = state; redo_set; iterations = List.rev iterations; shard_runs = [] }
     | r :: rest when not (Digraph.Node_set.mem r.Log.op_id unrecovered) ->
       stats.s_scanned <- stats.s_scanned + 1;
       stats.s_already_installed <- stats.s_already_installed + 1;
@@ -153,47 +168,16 @@ let run_loop ~trace ~sink ~stats spec ~records ~state ~log ~unrecovered =
   in
   loop records state unrecovered None Digraph.Node_set.empty []
 
-let recover ?(trace = false) ?sink spec ~state ~log ~checkpoint =
-  Metrics.incr c_runs;
-  Span.span "recover" @@ fun () ->
-  let t0 = Metrics.now_ns () in
-  let stats = fresh_stats () in
-  let unrecovered = Digraph.Node_set.diff (Log.operations log) checkpoint in
-  let result =
-    run_loop ~trace ~sink ~stats spec ~records:(Log.records log) ~state ~log ~unrecovered
-  in
-  flush_stats stats;
-  if Span.enabled () then
-    Span.note
-      [
-        "scanned", Span.Int stats.s_scanned;
-        "applied", Span.Int stats.s_applied;
-        "skipped", Span.Int stats.s_skipped;
-      ];
-  Metrics.observe h_run_ns (Metrics.now_ns () -. t0);
-  result
+(* ---- Shards: partition-parallel replay ----------------------------- *)
 
-(* ---- partition-parallel recovery ---------------------------------- *)
-
-type shard_run = {
-  shard : Partition.shard;
-  shard_result : result;
-}
-
-type parallel_result = {
-  merged : result;
-  shard_runs : shard_run list;
-  domains_used : int;
-}
-
-(* Replay each conflict-closed shard of the unrecovered operations on
-   its own domain, then merge. Soundness is Theorem 3 applied
-   shard-wise: no conflict edge crosses a component, so the sequential
-   log order restricted to a shard replays that shard exactly as the
-   global pass would, and distinct shards touch disjoint variables, so
-   overlaying each shard's final bindings (restricted to its variables)
-   on the crash state commutes and reconstructs the sequential final
-   state.
+(* Replay each conflict-closed shard of the unrecovered operations as a
+   task (on a pool when [domains > 1]), then merge. Soundness is
+   Theorem 3 applied shard-wise: no conflict edge crosses a component,
+   so the sequential log order restricted to a shard replays that shard
+   exactly as the global pass would, and distinct shards touch disjoint
+   variables, so overlaying each shard's final bindings (restricted to
+   its variables) on the crash state commutes and reconstructs the
+   sequential final state.
 
    The shared inputs — the crash [state], the [log], the spec's closures
    — are immutable; each domain builds only fresh states. The spec is
@@ -202,9 +186,7 @@ type parallel_result = {
    every spec in this library (redo tests reading the variables the
    operation accesses, analyses over the unrecovered set) is confined to
    the component by construction, which is what makes the restriction
-   faithful. *)
-(* Replay a partition plan's shards (on a pool when [domains > 1]) and
-   merge. [shard_sinks] aligns with [plan.shards]; a shard's sink runs
+   faithful. [shard_sinks] aligns with [plan.shards]; a shard's sink runs
    on whatever domain replays the shard, so it must be confined to that
    shard (the streaming auditors are: {!Explain} and the conflict graph
    are immutable once built). *)
@@ -232,8 +214,8 @@ let replay_plan ~trace ~pool ~domains ~shard_sinks spec ~state ~log ~(plan : Par
         else replay ())
       plan.Partition.shards shard_sinks
   in
-  let domains_used = min domains (max 1 (List.length tasks)) in
-  let runs = Domain_pool.run ?pool ~domains:domains_used tasks in
+  let domains = min domains (max 1 (List.length tasks)) in
+  let runs = Domain_pool.run ?pool ~domains tasks in
   let final, redo_set, iterations =
     Span.span "recover.merge" @@ fun () ->
     let final =
@@ -261,26 +243,91 @@ let replay_plan ~trace ~pool ~domains ~shard_sinks spec ~state ~log ~(plan : Par
       Metrics.observe h_shard_ops (float (Digraph.Node_set.cardinal s.Partition.ops)))
     runs;
   {
-    merged = { final; redo_set; iterations };
+    final;
+    redo_set;
+    iterations;
     shard_runs = List.map (fun (s, r, _) -> { shard = s; shard_result = r }) runs;
-    domains_used;
   }
 
-let recover_parallel ?(trace = false) ?(domains = 2) ?pool spec ~state ~log ~checkpoint =
-  if domains <= 1 then
-    { merged = recover ~trace spec ~state ~log ~checkpoint; shard_runs = []; domains_used = 1 }
-  else begin
-    Metrics.incr c_parallel_runs;
-    Span.span "recover.parallel" @@ fun () ->
-    let t0 = Metrics.now_ns () in
-    let plan = Span.span "recover.plan" (fun () -> Partition.plan ~log ~checkpoint) in
-    let shard_sinks = List.map (fun _ -> None) plan.Partition.shards in
-    let result = replay_plan ~trace ~pool ~domains ~shard_sinks spec ~state ~log ~plan in
-    Metrics.observe h_par_run_ns (Metrics.now_ns () -. t0);
-    result
-  end
+(* ---- Touch_order: demand-order replay ------------------------------ *)
 
-(* ---- per-shard checkpoint horizons -------------------------------- *)
+(* Page-granular demand replay: partition the unrecovered records into
+   per-home-variable queues (the home of an operation is the least
+   variable it accesses — the theory's stand-in for "the page the access
+   faults on"), then drain queues in an arbitrary {e touch} order rather
+   than log order. Draining one record first drains its still-unrecovered
+   conflict-graph predecessors, in log order. [predecessors_of] is the
+   transitive closure, so the closure {r} ∪ preds(r) is down-closed:
+   replaying it in log order respects every conflict edge inside it, and
+   edges leaving it point only at ops replayed earlier. The whole run is
+   therefore a conflict-respecting interleaving of per-component log
+   orders, which Theorem 3 makes equivalent to the sequential pass — the
+   soundness claim instant restart rests on.
+
+   Which records a drain takes depends only on which were taken before,
+   never on the state, so the whole drain order is computed up front and
+   then replayed by the ordinary loop. *)
+let drain_order ~log ~unrecovered touch_order =
+  let cg = Log.conflict_graph log in
+  let records = Log.records log in
+  (* Log position and record of every operation, for ordering closures. *)
+  let pos = Hashtbl.create (List.length records) in
+  List.iteri (fun i r -> Hashtbl.replace pos r.Log.op_id (i, r)) records;
+  (* Per-home-variable queues over the unrecovered suffix, in log order. *)
+  let queues : (Var.t, Log.record list ref) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      if Digraph.Node_set.mem r.Log.op_id unrecovered then
+        match Var.Set.min_elt_opt (Op.accesses (Log.find_op log r.Log.op_id)) with
+        | None -> ()
+        | Some v ->
+          (match Hashtbl.find_opt queues v with
+          | Some q -> q := r :: !q
+          | None -> Hashtbl.add queues v (ref [ r ])))
+    records;
+  let pending = ref unrecovered and order = ref [] in
+  (* Drain one record: its pending predecessors first, in log order,
+     then the record itself. *)
+  let drain_record r =
+    if Digraph.Node_set.mem r.Log.op_id !pending then begin
+      Metrics.incr c_lazy_drains;
+      let closure =
+        Digraph.Node_set.add r.Log.op_id
+          (Digraph.Node_set.inter (Conflict_graph.predecessors_of cg r.Log.op_id) !pending)
+      in
+      Metrics.observe h_lazy_closure (float (Digraph.Node_set.cardinal closure));
+      pending := Digraph.Node_set.diff !pending closure;
+      Digraph.Node_set.elements closure
+      |> List.map (Hashtbl.find pos)
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.iter (fun (_, r) -> order := r :: !order)
+    end
+  in
+  let drain_var v =
+    match Hashtbl.find_opt queues v with
+    | None -> ()
+    | Some q ->
+      Hashtbl.remove queues v;
+      List.iter drain_record (List.rev !q)
+  in
+  (* Touch order: caller-supplied, else home variables in descending
+     order — adversarial against the ascending log tendency, so the
+     equivalence leg actually exercises out-of-log-order drains. *)
+  let touched =
+    match touch_order with
+    | Some vs -> vs
+    | None ->
+      List.rev
+        (Var.Set.elements (Hashtbl.fold (fun v _ acc -> Var.Set.add v acc) queues Var.Set.empty))
+  in
+  List.iter drain_var touched;
+  (* Sweeper of last resort: anything untouched (operations accessing
+     no variable, variables a partial touch order omits) drains in log
+     order. *)
+  List.iter drain_record records;
+  List.rev !order
+
+(* ---- the one entry point ------------------------------------------- *)
 
 type horizon = {
   scope : Var.Set.t;
@@ -299,133 +346,62 @@ let checkpoint_of_horizons horizons =
     (fun acc h -> Digraph.Node_set.union acc h.installed)
     Digraph.Node_set.empty horizons
 
-let recover_sharded ?(trace = false) ?(domains = 1) ?pool ?shard_sink spec ~state ~log
-    ~checkpoint ~horizons =
-  Metrics.incr c_sharded_runs;
-  Span.span "recover.sharded" @@ fun () ->
+let recover ?(trace = false) ?sink ?(schedule = Log_order) ?(horizons = []) spec ~state ~log
+    ~checkpoint =
+  (match schedule, sink with
+  | Shards _, Some _ ->
+    invalid_arg "Recovery.recover: ~sink would race across shards; use a shard_sink"
+  | _ -> ());
+  Metrics.incr c_runs;
   let t0 = Metrics.now_ns () in
-  let checkpoint = Digraph.Node_set.union checkpoint (checkpoint_of_horizons horizons) in
-  let plan = Span.span "recover.plan" (fun () -> Partition.plan ~log ~checkpoint) in
-  (* Sinks are constructed on the coordinator, one per shard, before any
-     worker runs — each closure is then confined to its own shard. *)
-  let shard_sinks =
-    match shard_sink with
-    | None -> List.map (fun _ -> None) plan.Partition.shards
-    | Some f -> List.map f plan.Partition.shards
-  in
-  let result = replay_plan ~trace ~pool ~domains ~shard_sinks spec ~state ~log ~plan in
-  Metrics.observe h_par_run_ns (Metrics.now_ns () -. t0);
-  result
-
-(* ---- lazy (demand-order) recovery --------------------------------- *)
-
-(* Page-granular demand replay: partition the unrecovered records into
-   per-home-variable queues (the home of an operation is the least
-   variable it accesses — the theory's stand-in for "the page the access
-   faults on"), then drain queues in an arbitrary {e touch} order rather
-   than log order. Draining one record first drains its still-unrecovered
-   conflict-graph predecessors, in log order. [predecessors_of] is the
-   transitive closure, so the closure {r} ∪ preds(r) is down-closed:
-   replaying it in log order respects every conflict edge inside it, and
-   edges leaving it point only at ops replayed earlier. The whole run is
-   therefore a conflict-respecting interleaving of per-component log
-   orders, which Theorem 3 makes equivalent to the sequential pass — the
-   soundness claim instant restart rests on, checked against [recover]
-   by Theory_check's lazy leg on every invocation. *)
-let recover_lazy ?touch_order spec ~state ~log ~checkpoint =
-  Metrics.incr c_lazy_runs;
-  Span.span "recover.lazy" @@ fun () ->
-  let stats = fresh_stats () in
-  let cg = Log.conflict_graph log in
-  let unrecovered = ref (Digraph.Node_set.diff (Log.operations log) checkpoint) in
-  let records = Log.records log in
-  (* Log position of every record, for ordering drained closures. *)
-  let pos = Hashtbl.create (List.length records) in
-  List.iteri (fun i r -> Hashtbl.replace pos r.Log.op_id i) records;
-  (* Per-home-variable queues over the unrecovered suffix, in log order. *)
-  let queues : (Var.t, Log.record list ref) Hashtbl.t = Hashtbl.create 16 in
-  let homeless = ref [] in
-  List.iter
-    (fun r ->
-      if Digraph.Node_set.mem r.Log.op_id !unrecovered then begin
-        let op = Log.find_op log r.Log.op_id in
-        match Var.Set.min_elt_opt (Op.accesses op) with
-        | None -> homeless := r :: !homeless
-        | Some v ->
-          let q =
-            match Hashtbl.find_opt queues v with
-            | Some q -> q
-            | None ->
-              let q = ref [] in
-              Hashtbl.add queues v q;
-              q
-          in
-          q := r :: !q
-      end)
-    records;
-  let state = ref state in
-  let analysis = ref None in
-  let redo_set = ref Digraph.Node_set.empty in
-  let process r =
-    stats.s_scanned <- stats.s_scanned + 1;
-    let op = Log.find_op log r.Log.op_id in
-    stats.s_analyze_calls <- stats.s_analyze_calls + 1;
-    analysis := spec.analyze ~state:!state ~log ~unrecovered:!unrecovered !analysis;
-    let redone = spec.redo op ~state:!state ~log ~analysis:!analysis in
-    if redone then begin
-      stats.s_applied <- stats.s_applied + 1;
-      state := Op.apply op !state;
-      redo_set := Digraph.Node_set.add r.Log.op_id !redo_set
+  let checkpoint =
+    if horizons = [] then checkpoint
+    else begin
+      Metrics.incr c_sharded_runs;
+      Digraph.Node_set.union checkpoint (checkpoint_of_horizons horizons)
     end
-    else stats.s_skipped <- stats.s_skipped + 1;
-    unrecovered := Digraph.Node_set.remove r.Log.op_id !unrecovered
   in
-  (* Drain one record: its unrecovered predecessors first, in log
-     order, then the record itself. *)
-  let drain_record r =
-    if Digraph.Node_set.mem r.Log.op_id !unrecovered then begin
-      Metrics.incr c_lazy_drains;
-      let closure =
-        Digraph.Node_set.add r.Log.op_id
-          (Digraph.Node_set.inter (Conflict_graph.predecessors_of cg r.Log.op_id) !unrecovered)
+  let in_order name order =
+    Span.span name @@ fun () ->
+    let unrecovered = Digraph.Node_set.diff (Log.operations log) checkpoint in
+    let stats = fresh_stats () in
+    let r =
+      run_loop ~trace ~sink ~stats spec ~records:(order unrecovered) ~state ~log ~unrecovered
+    in
+    flush_stats stats;
+    if Span.enabled () then
+      Span.note
+        [
+          "scanned", Span.Int stats.s_scanned;
+          "applied", Span.Int stats.s_applied;
+          "skipped", Span.Int stats.s_skipped;
+        ];
+    r
+  in
+  let result =
+    match schedule with
+    | Log_order -> in_order "recover" (fun _ -> Log.records log)
+    | Touch_order touch_order ->
+      Metrics.incr c_lazy_runs;
+      in_order "recover.lazy" (fun unrecovered -> drain_order ~log ~unrecovered touch_order)
+    | Shards { domains; pool; shard_sink } ->
+      Metrics.incr c_parallel_runs;
+      Span.span (if horizons = [] then "recover.parallel" else "recover.sharded") @@ fun () ->
+      let plan = Span.span "recover.plan" (fun () -> Partition.plan ~log ~checkpoint) in
+      (* Sinks are constructed on the coordinator, one per shard, before
+         any worker runs — each closure is then confined to its own
+         shard. *)
+      let shard_sinks =
+        List.map
+          (fun s -> match shard_sink with None -> None | Some f -> f s)
+          plan.Partition.shards
       in
-      Metrics.observe h_lazy_closure (float (Digraph.Node_set.cardinal closure));
-      Digraph.Node_set.elements closure
-      |> List.sort (fun a b -> compare (Hashtbl.find pos a) (Hashtbl.find pos b))
-      |> List.iter (fun id -> if Digraph.Node_set.mem id !unrecovered then process (Log.record id))
-    end
+      let r = replay_plan ~trace ~pool ~domains ~shard_sinks spec ~state ~log ~plan in
+      Metrics.observe h_par_run_ns (Metrics.now_ns () -. t0);
+      r
   in
-  let drain_var v =
-    match Hashtbl.find_opt queues v with
-    | None -> ()
-    | Some q ->
-      Hashtbl.remove queues v;
-      List.iter drain_record (List.rev !q)
-  in
-  (* Touch order: caller-supplied, else home variables in descending
-     order — adversarial against the ascending log tendency, so the
-     equivalence leg actually exercises out-of-log-order drains. *)
-  let order =
-    match touch_order with
-    | Some vs -> vs
-    | None ->
-      List.rev
-        (Var.Set.elements (Hashtbl.fold (fun v _ acc -> Var.Set.add v acc) queues Var.Set.empty))
-  in
-  List.iter drain_var order;
-  (* Sweeper of last resort: anything untouched (homeless ops, vars not
-     in a partial [touch_order]) drains in log order. *)
-  List.iter drain_record (List.rev !homeless);
-  List.iter (fun r -> drain_record r) records;
-  flush_stats stats;
-  if Span.enabled () then
-    Span.note
-      [
-        "scanned", Span.Int stats.s_scanned;
-        "applied", Span.Int stats.s_applied;
-        "skipped", Span.Int stats.s_skipped;
-      ];
-  { final = !state; redo_set = !redo_set; iterations = [] }
+  Metrics.observe h_run_ns (Metrics.now_ns () -. t0);
+  result
 
 let succeeded ?universe ~log result =
   let cg = Log.conflict_graph log in

@@ -28,13 +28,61 @@ type iteration = {
   unrecovered_before : Digraph.Node_set.t;
 }
 
+(** How {!recover} orders the replay. Theorem 3 licenses each: any
+    order that respects the conflict graph reaches the same state. *)
+type schedule =
+  | Log_order  (** Figure 6 as written: one LSN-ordered pass. *)
+  | Shards of {
+      domains : int;
+          (** Worker domains for the shards; [1] replays them inline, in
+              plan order. *)
+      pool : Redo_par.Domain_pool.t option;
+          (** Reuse this pool (e.g. {!Redo_par.Domain_pool.shared})
+              instead of spawning a throwaway one per call. *)
+      shard_sink : (Partition.shard -> (iteration -> unit) option) option;
+          (** Consulted once per shard, on the calling domain; may return
+              a streaming observer for that shard, which runs on whatever
+              domain replays the shard and must be confined to it (a
+              per-shard {!auditor} with [~universe:shard.vars] is — the
+              conflict graph and {!Explain} are immutable once built). *)
+    }
+      (** Split the unrecovered operations into the conflict-closed shards
+          of {!Partition.plan} and replay each in log order. No conflict
+          edge crosses a shard and the shards' variables are disjoint, so
+          overlaying each shard's final bindings on the crash state
+          reconstructs the sequential final state. *)
+  | Touch_order of Var.t list option
+      (** Demand order, the theory-level form of instant restart. Each
+          operation is queued on its {e home variable} (the least
+          variable it accesses — the stand-in for the page a first access
+          faults on), and queues drain in the order their variables are
+          touched: the given list, or with [None] every home variable in
+          descending order (deliberately adversarial against log order).
+          Draining one record first drains its still-unrecovered
+          conflict-graph predecessors in log order; anything left
+          untouched is swept afterwards in log order. Each drained
+          closure is down-closed, so the run is a conflict-respecting
+          interleaving of per-component log orders. *)
+
 type result = {
   final : State.t;
   redo_set : Digraph.Node_set.t;
       (** Operations for which the redo test returned true. *)
   iterations : iteration list;
       (** Per-iteration snapshots; empty unless {!recover} was called
-          with [~trace:true]. *)
+          with [~trace:true]. In replay order: log order, drain order
+          for [Touch_order], and the shard traces concatenated in shard
+          order for [Shards] — each shard's trace is log-ordered, but
+          the concatenation is {e not} a global log order. *)
+  shard_runs : shard_run list;  (** Empty unless the schedule is [Shards]. *)
+}
+
+and shard_run = {
+  shard : Partition.shard;
+  shard_result : result;
+      (** The shard's replay against the shared crash state: [final]
+          is authoritative only on [shard.vars]; [iterations] is the
+          shard's own trace (when tracing). *)
 }
 
 val no_analysis : unit spec -> unit spec
@@ -48,77 +96,6 @@ val always_redo : unit spec
 val redo_if : (Op.t -> State.t -> bool) -> unit spec
 (** Analysis-free spec from a state-dependent test (e.g. an LSN
     comparison, Section 6.3). *)
-
-val recover :
-  ?trace:bool ->
-  ?sink:(iteration -> unit) ->
-  'a spec ->
-  state:State.t ->
-  log:Log.t ->
-  checkpoint:Digraph.Node_set.t ->
-  result
-(** Run Figure 6's [recover(state, log, checkpoint)]. [checkpoint] is
-    the set of operations the checkpoint allows recovery to ignore
-    (Section 4.2). The loop is a single LSN-ordered pass over the log —
-    O(records) total. With [~trace:true] (default [false]) each
-    iteration snapshots its pre-state and unrecovered set so
-    {!check_invariant} can audit every step after the fact; a [~sink]
-    receives the same snapshots {e as they happen} without retaining
-    them, so a streaming {!auditor} can observe an arbitrarily long
-    recovery in O(1) extra memory. Untraced, sink-less runs keep O(n)
-    memory and can only be audited at the final state. *)
-
-(** {1 Partition-parallel recovery}
-
-    {!recover_parallel} splits [operations(log) − checkpoint] into the
-    conflict-closed shards of {!Partition.plan} and replays each shard
-    on its own domain. No conflict edge crosses a shard, so by
-    Theorem 3 each shard's log-ordered replay is exactly what the
-    sequential pass would have done to it, and the shards' variable
-    sets are disjoint, so overlaying each shard's final bindings on the
-    crash state reconstructs the sequential final state — same [final],
-    same [redo_set], for any spec whose redo test and analysis are
-    confined to the component they are asked about (every spec in this
-    library is: redo tests read only the variables the operation
-    accesses, and analyses look only at the unrecovered set they are
-    given). *)
-
-type shard_run = {
-  shard : Partition.shard;
-  shard_result : result;
-      (** The shard's replay against the shared crash state: [final]
-          is authoritative only on [shard.vars]; [iterations] is the
-          shard's own trace (when tracing). *)
-}
-
-type parallel_result = {
-  merged : result;
-      (** [final] and [redo_set] agree with the sequential {!recover}.
-          [iterations] (when tracing) concatenates the shard traces in
-          shard order — each shard's trace is log-ordered, but the
-          concatenation is {e not} a global log order. *)
-  shard_runs : shard_run list;  (** Empty on the [domains <= 1] path. *)
-  domains_used : int;
-}
-
-val recover_parallel :
-  ?trace:bool ->
-  ?domains:int ->
-  ?pool:Redo_par.Domain_pool.t ->
-  'a spec ->
-  state:State.t ->
-  log:Log.t ->
-  checkpoint:Digraph.Node_set.t ->
-  parallel_result
-(** Plan shards and replay them on a pool of [domains] (default 2)
-    worker domains — [?pool] reuses an existing pool (e.g.
-    {!Redo_par.Domain_pool.shared}) instead of spawning a throwaway one
-    per call. [~domains:1] (or less) is exactly {!recover} — no
-    planning, no pool, no overhead. Per-shard tallies are aggregated
-    into the [recover.shard.*] counters and the [recover.shard.ops]
-    histogram after the join; [~sink] is deliberately absent — a
-    streaming observer would race across domains (audit a shard's
-    [shard_result.iterations] post hoc instead, with [~trace:true]). *)
 
 (** {1 Per-shard checkpoint horizons}
 
@@ -143,59 +120,47 @@ val checkpoint_of_horizons : horizon list -> Digraph.Node_set.t
     are disjoint by construction; overlap means the caller mixed
     horizons from different write graphs). *)
 
-val recover_sharded :
+(** {1 Recovery} *)
+
+val recover :
   ?trace:bool ->
-  ?domains:int ->
-  ?pool:Redo_par.Domain_pool.t ->
-  ?shard_sink:(Partition.shard -> (iteration -> unit) option) ->
-  'a spec ->
-  state:State.t ->
-  log:Log.t ->
-  checkpoint:Digraph.Node_set.t ->
-  horizons:horizon list ->
-  parallel_result
-(** Recovery from a sharded checkpoint: the effective checkpoint is
-    [checkpoint ∪ checkpoint_of_horizons horizons], and each plan shard
-    starts from its own horizon instead of a global prefix. Unlike
-    {!recover_parallel}, the replay is per-shard even at [~domains:1]
-    (default — the shards then replay inline, in plan order), so a
-    [?shard_sink] always observes shard-local replays: it is consulted
-    once per shard on the calling domain and may return a streaming
-    observer for that shard, which runs on whatever domain replays the
-    shard and must be confined to it (a per-shard {!auditor} with
-    [~universe:shard.vars] is — the conflict graph and {!Explain} are
-    immutable once built). *)
-
-(** {1 Lazy (demand-order) recovery}
-
-    Instant restart replays nothing up front: each operation is queued
-    on its {e home variable} (the least variable it accesses — the
-    theory-level stand-in for the page a first access faults on), and a
-    queue is drained only when its variable is touched. Draining one
-    record first drains its still-unrecovered conflict-graph
-    predecessors in log order; {!Conflict_graph.predecessors_of} is
-    transitive, so each drained closure is down-closed and the whole run
-    is a conflict-respecting interleaving of per-component log orders —
-    equivalent to the sequential pass by Theorem 3. *)
-
-val recover_lazy :
-  ?touch_order:Var.t list ->
+  ?sink:(iteration -> unit) ->
+  ?schedule:schedule ->
+  ?horizons:horizon list ->
   'a spec ->
   state:State.t ->
   log:Log.t ->
   checkpoint:Digraph.Node_set.t ->
   result
-(** Demand-order recovery. [touch_order] is the sequence in which home
-    variables are faulted on (default: descending variable order —
-    deliberately adversarial against log order, so equivalence checks
-    exercise genuinely out-of-order drains); variables it omits, and
-    operations accessing no variables, are swept afterwards in log
-    order. [final] and [redo_set] must agree with {!recover} on every
-    spec in this library (redo tests and analyses confined to the
-    conflict component they are asked about); {!Redo_methods.Theory_check}
-    re-verifies that agreement on every check. [iterations] is always
-    [[]] — the drain order is not a log order, so the streaming
-    invariant auditor does not apply. *)
+(** Run Figure 6's [recover(state, log, checkpoint)]. [checkpoint] is
+    the set of operations the checkpoint allows recovery to ignore
+    (Section 4.2); [horizons] (default none) add their installed sets
+    to it. [schedule] (default [Log_order]) orders the replay. Every
+    loop is a single pass over its records — O(records) total.
+
+    With [~trace:true] (default [false]) each iteration snapshots its
+    pre-state and unrecovered set so {!check_invariant} can audit every
+    step after the fact; a [~sink] receives the same snapshots {e as
+    they happen} without retaining them, so a streaming {!auditor} can
+    observe an arbitrarily long recovery in O(1) extra memory. Untraced,
+    sink-less runs keep O(n) memory and can only be audited at the
+    final state.
+
+    [final] and [redo_set] agree across schedules for every spec in
+    this library: redo tests read only the variables the operation
+    accesses, and analyses look only at the unrecovered set they are
+    given, so each is confined to the component it is asked about.
+    {!Redo_methods.Theory_check} re-verifies that agreement on every
+    check.
+
+    Metrics: [recover.runs] counts every call; [recover.parallel.runs],
+    [recover.sharded.runs] and [recover.lazy.runs] count [Shards] runs,
+    runs with horizons and [Touch_order] runs. Per-shard tallies go to
+    the [recover.shard.*] counters and the [recover.shard.ops]
+    histogram after the join.
+    @raise Invalid_argument when [~sink] is given with [Shards] — one
+    observer would race across domains; use the schedule's
+    [shard_sink]. *)
 
 val succeeded : ?universe:Var.Set.t -> log:Log.t -> result -> bool
 (** Did recovery terminate in the state determined by the conflict

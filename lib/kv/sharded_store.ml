@@ -7,8 +7,8 @@ module Flight = Redo_obs.Flight
 module Oplat = Redo_obs.Oplat
 module Installer = Redo_ckpt.Installer
 module Lazy_redo = Redo_restart.Lazy_redo
+module Page_redo = Redo_restart.Page_redo
 module Kv_layout = Redo_methods.Kv_layout
-module Projection = Redo_methods.Projection
 module Theory_check = Redo_methods.Theory_check
 
 let name = "sharded"
@@ -25,7 +25,7 @@ let c_replayed = Metrics.counter "kv.shard.replayed"
 let h_queue_depth =
   Metrics.histogram ~bounds:Metrics.count_bounds "kv.shard.queue_depth"
 
-type recovery_stats = {
+type recovery_stats = Redo_methods.Method_intf.recovery_stats = {
   scanned : int;
   redone : int;
   skipped : int;
@@ -392,53 +392,6 @@ let crash_torn t ~drop = crash_with t ~torn:true ~drop
 
 (* ---- recovery ------------------------------------------------------- *)
 
-let scan_start t =
-  match Log_manager.last_stable_checkpoint t.log with
-  | None -> Lsn.of_int 1
-  | Some (ckpt_lsn, { Record.dirty_pages; _ }) ->
-    List.fold_left (fun acc (_, rec_lsn) -> min acc rec_lsn) (Lsn.next ckpt_lsn) dirty_pages
-
-(* The ARIES-style analysis pass, verbatim from the physiological
-   method: rebuild the dirty-page table from the newest checkpoint and
-   every later record, and start redo at its oldest recLSN. The DPT is
-   a pid-indexed array (the page universe is dense and known): the redo
-   test runs once per scanned record on the restart open path, where a
-   hash lookup per record is the difference between opening in
-   milliseconds and tens of them. *)
-let analysis t =
-  let ckpt_lsn, dpt0 =
-    match Log_manager.last_stable_checkpoint t.log with
-    | None -> Lsn.zero, []
-    | Some (lsn, { Record.dirty_pages; _ }) -> lsn, dirty_pages
-  in
-  let tail_start = Lsn.next ckpt_lsn in
-  let dpt = Array.make t.n_partitions None in
-  List.iter (fun (pid, rec_lsn) -> dpt.(pid) <- Some rec_lsn) dpt0;
-  let tail = Log_manager.records_from t.log ~from:tail_start in
-  let scanned = ref 0 in
-  List.iter
-    (fun r ->
-      incr scanned;
-      match Record.payload r with
-      | Record.Physiological { pid; _ } ->
-        if dpt.(pid) = None then dpt.(pid) <- Some (Record.lsn r)
-      | _ -> ())
-    tail;
-  let redo_start =
-    Array.fold_left
-      (fun acc entry -> match entry with Some rec_lsn -> min acc rec_lsn | None -> acc)
-      tail_start dpt
-  in
-  (* The redo slice extends the analysis tail down to the oldest recLSN
-     — identical to the tail when the checkpoint's dirty-page table
-     holds nothing older (the common case), so reuse it rather than
-     walking the log a second time. *)
-  let slice =
-    if Lsn.(tail_start <= redo_start) then tail
-    else Log_manager.records_from t.log ~from:redo_start
-  in
-  dpt, redo_start, !scanned, slice
-
 (* The lazy sibling of the eager replay closure below: drain one page's
    queue under the same page-LSN redo test, on the page's owner domain,
    without re-logging (these records are already stable). The plan
@@ -451,11 +404,8 @@ let lazy_apply t rs_records rs_replayed ~shard ~pid:_ records =
     (fun r ->
       match Record.payload r with
       | Record.Physiological { pid; op } ->
-        let page = Cache.read s.cache pid in
-        if Lsn.(Page.lsn page < Record.lsn r) then begin
-          Cache.update s.cache pid ~lsn:(Record.lsn r) (Page_op.apply op);
+        if Page_redo.redo_one s.cache ~pid ~lsn:(Record.lsn r) Page_op.apply op then
           incr redone
-        end
         else incr skipped
       | _ -> assert false)
     records;
@@ -485,22 +435,10 @@ let recover ?(mode = `Eager) t =
   Span.span "kv.recover"
     ~attrs:[ "shards", Span.Int t.nshards; "mode", Span.String mode_name ]
   @@ fun () ->
-  let dpt, _redo_start, analysis_scanned, slice = analysis t in
-  (* Horizons as a pid-indexed array too; [Lsn.zero] = no horizon
-     (every real record's LSN is above it). *)
-  let horizons = Array.make t.n_partitions Lsn.zero in
-  List.iter
-    (fun (pid, h) -> horizons.(pid) <- h)
-    (Log_manager.stable_shard_horizons t.log);
-  (* [dpt] and [horizons] are read-only from here on: sharing them with
-     the worker domains is safe. *)
-  let surely_on_disk ~pid ~lsn =
-    Lsn.(lsn <= horizons.(pid))
-    ||
-    match dpt.(pid) with
-    | None -> true (* clean at the crash: all its updates were flushed *)
-    | Some rec_lsn -> Lsn.(lsn < rec_lsn)
-  in
+  (* The analysis is read-only once built: sharing it with the worker
+     domains is safe. *)
+  let a = Page_redo.analyze t.log ~pages:t.n_partitions in
+  let slice = Page_redo.slice a and analysis_scanned = Page_redo.analysis_scanned a in
   match mode with
   | `Instant ->
     (* Instant restart: partition the redo slice into per-page queues
@@ -509,7 +447,9 @@ let recover ?(mode = `Eager) t =
        sweeper walks the cold tail hottest-first until the recovered
        set is total. *)
     let scanned = List.length slice in
-    let plan = Lazy_redo.plan ~shards:t.nshards ~surely_on_disk slice in
+    let plan =
+      Lazy_redo.plan ~shards:t.nshards ~surely_on_disk:(Page_redo.surely_on_disk a) slice
+    in
     let preskipped = Lazy_redo.plan_preskipped plan in
     Atomic.incr t.recoveries;
     ignore (Atomic.fetch_and_add t.scanned scanned);
@@ -573,15 +513,12 @@ let recover ?(mode = `Eager) t =
               ~remaining:(total - !seen);
           match Record.payload r with
           | Record.Physiological { pid; op } ->
-            if surely_on_disk ~pid ~lsn:(Record.lsn r) then incr skipped
-            else begin
-              let page = Cache.read s.cache pid in
-              if Lsn.(Page.lsn page < Record.lsn r) then begin
-                Cache.update s.cache pid ~lsn:(Record.lsn r) (Page_op.apply op);
-                incr redone
-              end
-              else incr skipped
-            end
+            let lsn = Record.lsn r in
+            if
+              (not (Page_redo.surely_on_disk a ~pid ~lsn))
+              && Page_redo.redo_one s.cache ~pid ~lsn Page_op.apply op
+            then incr redone
+            else incr skipped
           | _ -> assert false)
         records;
       if track then Oplat.recovery_progress ~shard:s.index ~replayed:total ~remaining:0;
@@ -619,32 +556,9 @@ let recover ?(mode = `Eager) t =
 (* ---- certification -------------------------------------------------- *)
 
 let projection t =
-  let universe = Kv_layout.universe ~partitions:t.n_partitions in
-  let start = scan_start t in
-  let ops, redo_ids =
-    List.fold_left
-      (fun (ops, redo) r ->
-        match Record.payload r with
-        | Record.Physiological { pid; op } ->
-          let core_op = Projection.physiological_op ~lsn:(Record.lsn r) ~pid op in
-          (* The redo set is what the actual scan would replay: records
-             the checkpoint does not skip whose LSN test (against the
-             stable page at crash time) fails. *)
-          let redo =
-            if
-              Lsn.(start <= Record.lsn r)
-              && Lsn.(Page.lsn (Disk.read t.disk pid) < Record.lsn r)
-            then Projection.op_id (Record.lsn r) :: redo
-            else redo
-          in
-          core_op :: ops, redo
-        | _ -> ops, redo)
-      ([], [])
-      (Log_manager.stable_records t.log)
-  in
-  Projection.make ~method_name:name ~lsn_values:true ~universe ~ops:(List.rev ops)
-    ~stable:(Projection.stable_state_of_disk ~lsn_values:true t.disk universe)
-    ~redo_ids:(List.rev redo_ids)
+  Redo_methods.Projection.page_lsn ~method_name:name
+    ~universe:(Kv_layout.universe ~partitions:t.n_partitions)
+    ~disk:t.disk t.log
 
 let verify_recovery_invariant ?domains t =
   let pool =

@@ -47,7 +47,7 @@
 
 type t
 
-type recovery_stats = {
+type recovery_stats = Redo_methods.Method_intf.recovery_stats = {
   scanned : int;  (** Records the redo pass examined (all shards). *)
   redone : int;
   skipped : int;
@@ -148,13 +148,18 @@ val crash_torn : t -> drop:int -> unit
     both media (WAL and flight recorder). *)
 
 val recover : ?mode:[ `Eager | `Instant ] -> t -> recovery_stats
-(** ARIES-style analysis on the coordinator (checkpoint + dirty-page
-    table → redo start), then redo per [mode] (default [`Eager]):
+(** One ARIES-style analysis pass on the coordinator
+    ({!Redo_restart.Page_redo.analyze}: checkpoint + dirty-page table →
+    redo start and redo slice), then redo per [mode] (default
+    [`Eager]). Both modes skip a record when
+    {!Redo_restart.Page_redo.surely_on_disk} holds (a per-shard horizon
+    or the dirty-page table proves it installed) and otherwise apply it
+    under the page-LSN test {!Redo_restart.Page_redo.redo_one} — the
+    same analysis and tests the physiological method recovers with.
 
     - [`Eager]: bucket the stable records by owning shard and replay
-      all shards in parallel on their owner domains, skipping by
-      per-shard horizon, dirty-page table and the page-LSN test.
-      Returns after the recovered set is total.
+      all shards in parallel on their owner domains, each bucket in LSN
+      order. Returns after the recovered set is total.
     - [`Instant]: partition the same records into per-page queues
       (excluding everything the horizon/DPT test already clears) and
       return {e before replaying anything} — the store serves
@@ -191,8 +196,10 @@ val projection : t -> Redo_methods.Projection.t
 
 val verify_recovery_invariant :
   ?domains:int -> t -> (Redo_methods.Theory_check.report, string) result
-(** Check the Recovery Invariant (sequential, parallel and
-    sharded-horizon legs) against the crashed store's projection. *)
+(** Check the Recovery Invariant against the crashed store's
+    projection, with every leg of {!Redo_methods.Theory_check.check}:
+    sequential, parallel (at [domains > 1]), sharded-horizon and lazy
+    (demand-order). *)
 
 val serial_contents : ?stable:bool -> t -> (string * string) list
 (** The serial witness: single-threaded replay of the log's operations

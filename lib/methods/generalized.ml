@@ -1,6 +1,3 @@
-open Redo_storage
-open Redo_wal
-
 let name = "generalized"
 
 (* The generalized LSN-based method (Section 6.4): a B-tree whose splits
@@ -43,33 +40,5 @@ let of_btree (t : Redo_btree.Btree.t) : t = t
 let to_btree (t : t) : Redo_btree.Btree.t = t
 
 let projection t =
-  let universe = Redo_btree.Btree.stable_universe t in
-  let disk = Redo_btree.Btree.disk t in
-  let start = Redo_btree.Btree.scan_start t in
-  let redo_candidate r pid =
-    Lsn.(start <= Record.lsn r) && Lsn.(Page.lsn (Disk.read disk pid) < Record.lsn r)
-  in
-  let ops, redo_ids =
-    List.fold_left
-      (fun (ops, redo) r ->
-        match Record.payload r with
-        | Record.Physiological { pid; op } ->
-          let core_op = Projection.physiological_op ~lsn:(Record.lsn r) ~pid op in
-          let redo =
-            if redo_candidate r pid then Projection.op_id (Record.lsn r) :: redo else redo
-          in
-          core_op :: ops, redo
-        | Record.Multi mop ->
-          let core_op = Projection.multi_op ~lsn:(Record.lsn r) mop in
-          let dst = match Multi_op.writes mop with [ d ] -> d | _ -> assert false in
-          let redo =
-            if redo_candidate r dst then Projection.op_id (Record.lsn r) :: redo else redo
-          in
-          core_op :: ops, redo
-        | _ -> ops, redo)
-      ([], [])
-      (Log_manager.stable_records (Redo_btree.Btree.log t))
-  in
-  Projection.make ~method_name:name ~lsn_values:true ~universe ~ops:(List.rev ops)
-    ~stable:(Projection.stable_state_of_disk ~lsn_values:true disk universe)
-    ~redo_ids:(List.rev redo_ids)
+  Projection.page_lsn ~method_name:name ~universe:(Redo_btree.Btree.stable_universe t)
+    ~disk:(Redo_btree.Btree.disk t) (Redo_btree.Btree.log t)

@@ -95,11 +95,6 @@ let crash_torn t ~drop =
   Log_manager.crash_torn t.log ~drop;
   after_crash t
 
-let scan_start t =
-  match Log_manager.last_stable_checkpoint t.log with
-  | Some (lsn, _) -> Lsn.next lsn
-  | None -> Lsn.of_int 1
-
 let recover t =
   (* Reload the installed snapshot, then replay every logged operation
      after the checkpoint. *)
@@ -126,7 +121,7 @@ let recover t =
       | Record.Checkpoint _ | Record.Shard_checkpoint _ -> ()
       | payload ->
         invalid_arg (Fmt.str "logical recovery: unexpected record %a" Record.pp_payload payload))
-    (Log_manager.records_from t.log ~from:(scan_start t));
+    (Log_manager.records_from t.log ~from:(Redo_restart.Page_redo.scan_start t.log));
   { Method_intf.scanned = !scanned; redone = !redone; skipped = 0; analysis_scanned = 0 }
 
 let dump t =
@@ -142,7 +137,7 @@ let log t = t.log
 
 let projection t =
   let universe = Kv_layout.universe ~partitions:t.partitions in
-  let start = scan_start t in
+  let start = Redo_restart.Page_redo.scan_start t.log in
   let locate_key = Kv_layout.locate ~partitions:t.partitions in
   let ops, redo_ids =
     List.fold_left

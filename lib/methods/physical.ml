@@ -100,11 +100,6 @@ let crash_torn t ~drop =
   Log_manager.crash_torn t.log ~drop;
   after_crash t
 
-let scan_start t =
-  match Log_manager.last_stable_checkpoint t.log with
-  | Some (lsn, _) -> Lsn.next lsn
-  | None -> Lsn.of_int 1
-
 (* Is [lsn]'s effect on [pid] already claimed installed by a stable
    per-shard horizon? Physical redo is blind, so this is the only thing
    standing between a surviving shard record and a full-prefix replay
@@ -134,7 +129,7 @@ let recover t =
       | Record.Checkpoint _ | Record.Shard_checkpoint _ -> ()
       | payload ->
         invalid_arg (Fmt.str "physical recovery: unexpected record %a" Record.pp_payload payload))
-    (Log_manager.records_from t.log ~from:(scan_start t));
+    (Log_manager.records_from t.log ~from:(Redo_restart.Page_redo.scan_start t.log));
   !stats
 
 let dump t =
@@ -151,7 +146,7 @@ let log t = t.log
 
 let projection t =
   let universe = Kv_layout.universe ~partitions:t.partitions in
-  let start = scan_start t in
+  let start = Redo_restart.Page_redo.scan_start t.log in
   (* The redo set must mirror the actual scan, including its per-shard
      horizon skips — a blind-redo method's projection is only honest if
      every skip the scan performs is declared here. *)

@@ -1,5 +1,6 @@
 open Redo_storage
 open Redo_wal
+module Page_redo = Redo_restart.Page_redo
 
 let name = "physiological"
 
@@ -97,81 +98,37 @@ let crash_torn t ~drop =
   Log_manager.crash_torn t.log ~drop;
   after_crash t
 
-let scan_start t =
-  match Log_manager.last_stable_checkpoint t.log with
-  | None -> Lsn.of_int 1
-  | Some (ckpt_lsn, { Record.dirty_pages; _ }) ->
-    List.fold_left (fun acc (_, rec_lsn) -> min acc rec_lsn) (Lsn.next ckpt_lsn) dirty_pages
-
-(* The analysis phase (Section 4.3), ARIES style: rebuild the dirty page
-   table by starting from the checkpoint's table and adding every page a
-   later record touched (with that record's LSN as its conservative
-   recLSN). The redo pass then starts at the table's oldest recLSN and
-   skips records the table proves are on disk, before falling back to
-   the page-LSN test. *)
-let analysis t =
-  let ckpt_lsn, dpt0 =
-    match Log_manager.last_stable_checkpoint t.log with
-    | None -> Lsn.zero, []
-    | Some (lsn, { Record.dirty_pages; _ }) -> lsn, dirty_pages
-  in
-  let dpt = Hashtbl.create 16 in
-  List.iter (fun (pid, rec_lsn) -> Hashtbl.replace dpt pid rec_lsn) dpt0;
-  let scanned = ref 0 in
-  List.iter
-    (fun r ->
-      incr scanned;
-      match Record.payload r with
-      | Record.Physiological { pid; _ } ->
-        if not (Hashtbl.mem dpt pid) then Hashtbl.replace dpt pid (Record.lsn r)
-      | _ -> ())
-    (Log_manager.records_from t.log ~from:(Lsn.next ckpt_lsn));
-  let redo_start =
-    Hashtbl.fold (fun _ rec_lsn acc -> min acc rec_lsn) dpt (Lsn.next ckpt_lsn)
-  in
-  dpt, redo_start, !scanned
-
-(* The LSN redo test of Section 6.3: "If the page LSN is at least as
-   high as the operation's LSN, then the operation is already installed
-   and is bypassed during recovery." The dirty-page table lets the redo
-   pass skip records without even fetching the page. *)
+(* The analysis phase (Section 4.3) rebuilds the dirty-page table; the
+   redo pass then starts at its oldest recLSN, skips records the table
+   or a per-shard horizon proves are on disk without fetching the page,
+   and falls back to the LSN redo test of Section 6.3: "If the page LSN
+   is at least as high as the operation's LSN, then the operation is
+   already installed and is bypassed during recovery." *)
 let recover t =
-  let dpt, redo_start, analysis_scanned = analysis t in
-  (* Per-shard horizons give a second "surely on disk" witness, ahead of
-     even fetching the page. Perf-only for an LSN-tested method: a
-     covered record's page carries a page LSN at least as high, so the
-     LSN test would skip it anyway — the horizon just saves the read. *)
-  let horizons = Log_manager.stable_shard_horizons t.log in
+  let a = Page_redo.analyze t.log ~pages:t.partitions in
   let scanned = ref 0 and redone = ref 0 and skipped = ref 0 in
   List.iter
     (fun r ->
       incr scanned;
       match Record.payload r with
       | Record.Physiological { pid; op } ->
-        let surely_on_disk =
-          (match List.assoc_opt pid horizons with
-          | Some h -> Lsn.(Record.lsn r <= h)
-          | None -> false)
-          ||
-          match Hashtbl.find_opt dpt pid with
-          | None -> true (* clean at the crash: all its updates were flushed *)
-          | Some rec_lsn -> Lsn.(Record.lsn r < rec_lsn)
-        in
-        if surely_on_disk then incr skipped
-        else begin
-          let page = Cache.read t.cache pid in
-          if Lsn.(Page.lsn page < Record.lsn r) then begin
-            Cache.update t.cache pid ~lsn:(Record.lsn r) (Page_op.apply op);
-            incr redone
-          end
-          else incr skipped
-        end
+        let lsn = Record.lsn r in
+        if
+          (not (Page_redo.surely_on_disk a ~pid ~lsn))
+          && Page_redo.redo_one t.cache ~pid ~lsn Page_op.apply op
+        then incr redone
+        else incr skipped
       | Record.Checkpoint _ | Record.Shard_checkpoint _ -> ()
       | payload ->
         invalid_arg
           (Fmt.str "physiological recovery: unexpected record %a" Record.pp_payload payload))
-    (Log_manager.records_from t.log ~from:redo_start);
-  { Method_intf.scanned = !scanned; redone = !redone; skipped = !skipped; analysis_scanned }
+    (Page_redo.slice a);
+  {
+    Method_intf.scanned = !scanned;
+    redone = !redone;
+    skipped = !skipped;
+    analysis_scanned = Page_redo.analysis_scanned a;
+  }
 
 let dump t =
   Kv_layout.universe ~partitions:t.partitions
@@ -186,29 +143,6 @@ let log_stats t = Log_manager.stats t.log
 let log t = t.log
 
 let projection t =
-  let universe = Kv_layout.universe ~partitions:t.partitions in
-  let start = scan_start t in
-  let ops, redo_ids =
-    List.fold_left
-      (fun (ops, redo) r ->
-        match Record.payload r with
-        | Record.Physiological { pid; op } ->
-          let core_op = Projection.physiological_op ~lsn:(Record.lsn r) ~pid op in
-          (* The redo set is what the actual scan would replay: records
-             the checkpoint does not skip whose LSN test (against the
-             *stable* page at crash time) fails. *)
-          let redo =
-            if
-              Lsn.(start <= Record.lsn r)
-              && Lsn.(Page.lsn (Disk.read t.disk pid) < Record.lsn r)
-            then Projection.op_id (Record.lsn r) :: redo
-            else redo
-          in
-          core_op :: ops, redo
-        | _ -> ops, redo)
-      ([], [])
-      (Log_manager.stable_records t.log)
-  in
-  Projection.make ~method_name:name ~lsn_values:true ~universe ~ops:(List.rev ops)
-    ~stable:(Projection.stable_state_of_disk ~lsn_values:true t.disk universe)
-    ~redo_ids:(List.rev redo_ids)
+  Projection.page_lsn ~method_name:name
+    ~universe:(Kv_layout.universe ~partitions:t.partitions)
+    ~disk:t.disk t.log

@@ -93,3 +93,32 @@ let make ~method_name ~lsn_values ~universe ~ops ~stable ~redo_ids =
     redo_ids;
     universe = Var.Set.of_list (List.map Var.page universe);
   }
+
+(* The page-LSN methods share one redo test, so they share one
+   projection. The redo set is what the actual scan would replay:
+   records the checkpoint does not skip whose LSN test (against the
+   stable page at crash time) fails. A multi-page record is tested on
+   the one page it writes. *)
+let page_lsn ~method_name ~universe ~disk log =
+  let start = Redo_restart.Page_redo.scan_start log in
+  let step (ops, redo) r =
+    let lsn = Record.lsn r in
+    let add op pid =
+      let redo =
+        if Lsn.(start <= lsn) && Lsn.(Page.lsn (Disk.read disk pid) < lsn) then
+          op_id lsn :: redo
+        else redo
+      in
+      op :: ops, redo
+    in
+    match Record.payload r with
+    | Record.Physiological { pid; op } -> add (physiological_op ~lsn ~pid op) pid
+    | Record.Multi mop ->
+      let dst = match Multi_op.writes mop with [ d ] -> d | _ -> assert false in
+      add (multi_op ~lsn mop) dst
+    | _ -> ops, redo
+  in
+  let ops, redo_ids = List.fold_left step ([], []) (Log_manager.stable_records log) in
+  make ~method_name ~lsn_values:true ~universe ~ops:(List.rev ops)
+    ~stable:(stable_state_of_disk ~lsn_values:true disk universe)
+    ~redo_ids:(List.rev redo_ids)

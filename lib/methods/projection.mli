@@ -52,3 +52,11 @@ val make :
   stable:State.t ->
   redo_ids:string list ->
   t
+
+val page_lsn :
+  method_name:string -> universe:int list -> disk:Disk.t -> Log_manager.t -> t
+(** The projection of a page-LSN method (physiological, generalized,
+    sharded): every stable physiological or multi-page record becomes a
+    theory operation, and the redo set holds the records at or after
+    {!Redo_restart.Page_redo.scan_start} whose written page's stable LSN
+    is below their own — what the method's redo scan replays. *)

@@ -137,8 +137,9 @@ let check ?(domains = 2) ?pool (p : Projection.t) =
         else
           Span.span "theory.parallel" @@ fun () ->
           let par =
-            Recovery.recover_parallel ~domains ?pool spec ~state:p.Projection.stable ~log
-              ~checkpoint:installed
+            Recovery.recover
+              ~schedule:(Recovery.Shards { domains; pool; shard_sink = None })
+              spec ~state:p.Projection.stable ~log ~checkpoint:installed
           in
           let shards_disjoint =
             Partition.disjoint
@@ -150,10 +151,8 @@ let check ?(domains = 2) ?pool (p : Projection.t) =
           in
           ( List.length par.Recovery.shard_runs,
             shards_disjoint
-            && State.equal_on universe par.Recovery.merged.Recovery.final
-                 result.Recovery.final
-            && Digraph.Node_set.equal par.Recovery.merged.Recovery.redo_set
-                 result.Recovery.redo_set )
+            && State.equal_on universe par.Recovery.final result.Recovery.final
+            && Digraph.Node_set.equal par.Recovery.redo_set result.Recovery.redo_set )
       in
       (* The sharded-horizon leg: express the same installed set as
          per-shard checkpoint horizons — one horizon per component of
@@ -190,8 +189,10 @@ let check ?(domains = 2) ?pool (p : Projection.t) =
             Some (Recovery.audit_observe a)
           in
           let sh =
-            Recovery.recover_sharded ~domains ?pool ~shard_sink spec
-              ~state:p.Projection.stable ~log ~checkpoint:Digraph.Node_set.empty ~horizons
+            Recovery.recover
+              ~schedule:(Recovery.Shards { domains; pool; shard_sink = Some shard_sink })
+              ~horizons spec ~state:p.Projection.stable ~log
+              ~checkpoint:Digraph.Node_set.empty
           in
           let audits =
             List.map
@@ -211,13 +212,8 @@ let check ?(domains = 2) ?pool (p : Projection.t) =
           let first_violation =
             List.find_map (fun a -> a.Recovery.violation) audits
           in
-          let same_final =
-            State.equal_on universe sh.Recovery.merged.Recovery.final result.Recovery.final
-          in
-          let same_redo =
-            Digraph.Node_set.equal sh.Recovery.merged.Recovery.redo_set
-              result.Recovery.redo_set
-          in
+          let same_final = State.equal_on universe sh.Recovery.final result.Recovery.final in
+          let same_redo = Digraph.Node_set.equal sh.Recovery.redo_set result.Recovery.redo_set in
           let failure =
             match first_violation with
             | Some v ->
@@ -247,7 +243,8 @@ let check ?(domains = 2) ?pool (p : Projection.t) =
       let lazy_agrees, lazy_failure =
         Span.span "theory.lazy" @@ fun () ->
         match
-          Recovery.recover_lazy spec ~state:p.Projection.stable ~log ~checkpoint:installed
+          Recovery.recover ~schedule:(Recovery.Touch_order None) spec
+            ~state:p.Projection.stable ~log ~checkpoint:installed
         with
         | exception e -> false, Some (Printexc.to_string e)
         | lz ->

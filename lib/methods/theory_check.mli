@@ -36,17 +36,17 @@ type report = {
   sharded_agrees : bool;
       (** Recovery from {e per-shard checkpoint horizons} (the installed
           set expressed as one horizon per conflict component, replayed
-          through {!Redo_core.Recovery.recover_sharded}) produced the
-          same final state and redo set as the global checkpoint, with
-          the Recovery Invariant audited clean during every shard's
-          replay. Runs on every check, even [~domains:1] (the shards
-          then replay inline). *)
+          through {!Redo_core.Recovery.recover}'s [Shards] schedule)
+          produced the same final state and redo set as the global
+          checkpoint, with the Recovery Invariant audited clean during
+          every shard's replay. Runs on every check, even [~domains:1]
+          (the shards then replay inline). *)
   lazy_agrees : bool;
-      (** Demand-order replay ({!Redo_core.Recovery.recover_lazy}:
-          per-home-variable queues touched in descending variable order,
-          each drain pulling its still-unrecovered conflict predecessors
-          first) produced the same final state and redo set as the
-          sequential pass — the theory-level soundness of instant
+      (** Demand-order replay ({!Redo_core.Recovery.recover}'s
+          [Touch_order None] schedule: per-home-variable queues touched
+          in descending variable order, each drain pulling its
+          still-unrecovered conflict predecessors first) produced the
+          same final state and redo set as the sequential pass — the theory-level soundness of instant
           restart's page-granular lazy redo, checked on this very
           workload. Runs on every check. *)
   audited_iterations : int;

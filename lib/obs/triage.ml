@@ -46,8 +46,9 @@ type shard_record = {
   s_pages : int list;
   s_survived : bool;  (* the Shard_checkpoint record made it to the stable log *)
   s_plan_agrees : bool;
-      (* survived => recover_sharded's plan grants each covered page a
-         horizon at least this record's (a newer record may supersede) *)
+      (* survived => recovery's per-page horizons grant each covered
+         page a horizon at least this record's (a newer record may
+         supersede) *)
 }
 
 type lazy_drain = {

@@ -13,8 +13,9 @@ type log_summary = {
   stable_bytes : int;
   checkpoint_lsn : int option;  (** Newest stable global checkpoint. *)
   shard_horizons : (int * int) list;
-      (** page → newest stable shard horizon, as [recover_sharded]'s
-          plan would compute it ([Log_manager.stable_shard_horizons]). *)
+      (** page → newest stable shard horizon, as recovery's
+          surely-on-disk test reads it
+          ([Log_manager.stable_shard_horizons]). *)
 }
 (** Plain data so triage stays below [lib/wal] in the dependency order;
     build it with [Simulator.triage_log_summary] (or by hand). *)

@@ -8,9 +8,10 @@
    careful-order predecessor closure is the page's own record queue in
    LSN order, and draining whole queues independently, in any order
    across pages, is conflict-respecting. (The general DAG case, where a
-   drain must pull cross-page predecessors first, is
-   [Redo_core.Recovery.recover_lazy]; the equivalence of both shapes
-   with eager replay is re-checked on every [Theory_check.check].)
+   drain must pull cross-page predecessors first, is the [Touch_order]
+   schedule of [Redo_core.Recovery.recover]; the equivalence of both
+   shapes with eager replay is re-checked on every
+   [Theory_check.check].)
 
    The controller owns no domains of its own for demand traffic: each
    queue lives with its page's shard, and [ensure] must be called on

@@ -9,9 +9,9 @@
     graph's components are single pages and a page's careful-order
     predecessor closure is its own queue in LSN order — draining whole
     queues in any order across pages is conflict-respecting. The
-    general DAG form of the same claim is
-    [Redo_core.Recovery.recover_lazy], and both are checked against
-    eager replay by [Theory_check]'s lazy leg on every check.
+    general DAG form of the same claim is the [Touch_order] schedule of
+    [Redo_core.Recovery.recover], and both are checked against eager
+    replay by [Theory_check]'s lazy leg on every check.
 
     Threading: queues belong to their page's shard owner — {!ensure}
     must run on that owner domain (the single-writer discipline of the
@@ -36,8 +36,8 @@ val plan :
 (** Partition a redo-scan slice (LSN order, analysis start to crash
     LSN) into per-page queues, one sub-table per owning shard
     ([pid mod shards]). Records for which [surely_on_disk] holds — the
-    same shard-horizon ∨ dirty-page-table test eager recovery applies —
-    are excluded up front and counted as preskipped; the queues
+    store passes {!Page_redo.surely_on_disk}, the shard-horizon ∨
+    dirty-page-table test eager recovery applies — are excluded up front and counted as preskipped; the queues
     partition exactly the remainder. Checkpoint records are ignored.
     @raise Invalid_argument on a non-physiological operation record or
     [shards <= 0]. *)
@@ -67,7 +67,8 @@ type t
 val create :
   plan:plan -> apply:(shard:int -> pid:int -> Redo_wal.Record.t array -> int * int) -> t
 (** Take ownership of the plan's queues. [apply] replays one page's
-    queue under the page-LSN redo test and returns
+    queue under the page-LSN redo test ({!Page_redo.redo_one}) and
+    returns
     [(redone, skipped)]; it is invoked on whatever domain calls
     {!ensure} — the shard owner's. Publishes the initial per-shard
     pending-page counts to [Oplat.recovery_pending]. *)

@@ -87,4 +87,4 @@ val triage_log_summary : Redo_wal.Log_manager.t -> Redo_obs.Triage.log_summary
 (** Plain-data view of the (post-crash) stable log for
     {!Redo_obs.Triage.analyze}: stable horizon, record/byte counts,
     newest stable checkpoint, and the per-page shard horizons
-    [recover_sharded]'s plan would use. *)
+    recovery's surely-on-disk test would use. *)

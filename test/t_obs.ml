@@ -158,8 +158,9 @@ let test_parallel_recovery_counters_exact () =
   let log = Log.of_conflict_graph (Conflict_graph.of_exec (Exec.make ops)) in
   let before = Metrics.counter_values () in
   let par =
-    Recovery.recover_parallel ~domains:4 Recovery.always_redo ~state:State.empty ~log
-      ~checkpoint:Digraph.Node_set.empty
+    Recovery.recover
+      ~schedule:(Recovery.Shards { domains = 4; pool = None; shard_sink = None })
+      Recovery.always_redo ~state:State.empty ~log ~checkpoint:Digraph.Node_set.empty
   in
   let diff = Metrics.counter_diff ~before ~after:(Metrics.counter_values ()) in
   let moved name = Option.value ~default:0 (List.assoc_opt name diff) in

@@ -140,12 +140,14 @@ let prop_parallel_equivalence seed =
   let seq = Recovery.recover Recovery.always_redo ~state ~log ~checkpoint:prefix in
   let domains = 2 + (seed mod 3) in
   let par =
-    Recovery.recover_parallel ~domains Recovery.always_redo ~state ~log ~checkpoint:prefix
+    Recovery.recover
+      ~schedule:(Recovery.Shards { domains; pool = None; shard_sink = None })
+      Recovery.always_redo ~state ~log ~checkpoint:prefix
   in
   let universe = Exec.vars exec in
-  State.equal_on universe par.Recovery.merged.Recovery.final seq.Recovery.final
-  && Digraph.Node_set.equal par.Recovery.merged.Recovery.redo_set seq.Recovery.redo_set
-  && Recovery.succeeded ~log par.Recovery.merged
+  State.equal_on universe par.Recovery.final seq.Recovery.final
+  && Digraph.Node_set.equal par.Recovery.redo_set seq.Recovery.redo_set
+  && Recovery.succeeded ~log par
 
 (* The merged trace of a traced parallel run audits clean shard by
    shard: each shard's iterations satisfy the Recovery Invariant on its
@@ -155,8 +157,9 @@ let test_parallel_shard_traces () =
   let cg = Conflict_graph.of_exec exec in
   let log = Log.of_conflict_graph cg in
   let par =
-    Recovery.recover_parallel ~trace:true ~domains:3 Recovery.always_redo ~state:State.empty
-      ~log ~checkpoint:Digraph.Node_set.empty
+    Recovery.recover ~trace:true
+      ~schedule:(Recovery.Shards { domains = 3; pool = None; shard_sink = None })
+      Recovery.always_redo ~state:State.empty ~log ~checkpoint:Digraph.Node_set.empty
   in
   let total =
     List.fold_left
@@ -168,7 +171,7 @@ let test_parallel_shard_traces () =
     "every unrecovered op traced exactly once" (Log.length log) total;
   Alcotest.(check int)
     "merged trace concatenates the shards" (Log.length log)
-    (List.length par.Recovery.merged.Recovery.iterations)
+    (List.length par.Recovery.iterations)
 
 (* ---- the domain pool itself --------------------------------------- *)
 

@@ -229,15 +229,53 @@ let prop_sharded_horizons_equal_global seed =
        (fun domains ->
          let agrees (expected : Recovery.result) horizons =
            let sh =
-             Recovery.recover_sharded ~domains Recovery.always_redo ~state ~log
-               ~checkpoint:Digraph.Node_set.empty ~horizons
+             Recovery.recover
+               ~schedule:(Recovery.Shards { domains; pool = None; shard_sink = None })
+               ~horizons Recovery.always_redo ~state ~log ~checkpoint:Digraph.Node_set.empty
            in
-           State.equal_on universe sh.Recovery.merged.Recovery.final expected.Recovery.final
-           && Digraph.Node_set.equal sh.Recovery.merged.Recovery.redo_set
-                expected.Recovery.redo_set
+           State.equal_on universe sh.Recovery.final expected.Recovery.final
+           && Digraph.Node_set.equal sh.Recovery.redo_set expected.Recovery.redo_set
          in
          agrees global horizons && agrees no_ckpt [])
        [ 1; 2; 4 ]
+
+(* Demand order is one more schedule Theorem 3 licenses: whatever order
+   the home variables are touched in — a random permutation of every
+   variable, or a random partial list whose untouched rest is swept in
+   log order — replay must reach the log-order final state with the
+   log-order redo set. The redo test replays a random subset of the
+   unrecovered operations, so the redo sets being equal says something. *)
+let prop_touch_order_equals_log_order seed =
+  let exec = Redo_workload.Op_gen.exec seed in
+  let cg = Conflict_graph.of_exec exec in
+  let log = Log.of_conflict_graph cg in
+  let universe = Exec.vars exec in
+  let rng = Random.State.make [| seed; 0x70c4 |] in
+  let prefix = Redo_workload.Op_gen.random_installation_prefix rng cg in
+  let state =
+    State.scramble
+      (Explain.state_determined_by_prefix cg ~prefix)
+      (Exposed.unexposed_vars cg ~installed:prefix)
+  in
+  let chosen =
+    Digraph.Node_set.filter (fun _ -> Random.State.int rng 4 > 0) (Log.operations log)
+  in
+  let spec = Recovery.redo_if (fun op _ -> Digraph.Node_set.mem (Op.id op) chosen) in
+  let expected = Recovery.recover spec ~state ~log ~checkpoint:prefix in
+  let shuffle l =
+    List.map (fun x -> Random.State.bits rng, x) l |> List.sort compare |> List.map snd
+  in
+  let vars = shuffle (Var.Set.elements universe) in
+  let partial = List.filter (fun _ -> Random.State.bool rng) vars in
+  List.for_all
+    (fun vs ->
+      let r =
+        Recovery.recover ~schedule:(Recovery.Touch_order (Some vs)) spec ~state ~log
+          ~checkpoint:prefix
+      in
+      State.equal_on universe r.Recovery.final expected.Recovery.final
+      && Digraph.Node_set.equal r.Recovery.redo_set expected.Recovery.redo_set)
+    [ vars; partial ]
 
 let suite =
   [
@@ -260,4 +298,6 @@ let suite =
     Util.qtest "final state needs no redo" prop_final_state_needs_no_redo;
     Util.qtest ~count:100 "sharded horizons = global checkpoint = none (1/2/4 domains)"
       prop_sharded_horizons_equal_global;
+    Util.qtest ~count:100 "touch orders = log order (permutations, partial lists)"
+      prop_touch_order_equals_log_order;
   ]

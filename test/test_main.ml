@@ -32,4 +32,5 @@ let () =
       "flight recorder", T_flight.suite;
       "oplat", T_oplat.suite;
       "instant restart", T_restart.suite;
+      "page redo", T_page_redo.suite;
     ]
