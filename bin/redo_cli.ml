@@ -6,6 +6,7 @@
    redo torture ...          - many seeds x all methods
    redo check -m METHOD ...  - run a workload, crash, print the invariant report
    redo stats ...            - run a crashing workload, dump the metrics registry
+                               and the flight recorder's tail
    redo profile -m METHOD .. - span-profile the recoveries: critical path,
                                shard imbalance, optional Chrome trace
    redo serve-bench ...      - drive the sharded KV service with Zipf
@@ -22,9 +23,14 @@ open Cmdliner
 
 let method_names = List.map fst Redo_methods.Registry.all
 
+(* An enum over the names, not the constructors: cmdliner compares enum
+   values to print the default, and functions do not compare. *)
 let method_arg =
   let doc = Printf.sprintf "Recovery method (%s)." (String.concat ", " method_names) in
-  Arg.(value & opt string "physiological" & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
+  Arg.(
+    value
+    & opt (enum (List.map (fun n -> n, n) method_names)) "physiological"
+    & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -73,6 +79,28 @@ let group_commit_arg =
           "Batch WAL forces through a group committer: concurrent force requests coalesce into \
            one medium write and checkpoint shard records piggyback on the next batch. Durability \
            semantics are unchanged.")
+
+(* The simulator config that sim, stats and profile share. *)
+let sim_config =
+  let config seed total_ops partitions cache_capacity crash_every checkpoint_every =
+    let every n = if n <= 0 then None else Some n in
+    {
+      Redo_sim.Simulator.default_config with
+      seed;
+      total_ops;
+      partitions;
+      cache_capacity;
+      crash_every = every crash_every;
+      checkpoint_every = every checkpoint_every;
+    }
+  in
+  Term.(
+    const config $ seed_arg $ ops_arg $ partitions_arg $ cache_arg $ crash_every_arg
+    $ checkpoint_every_arg)
+
+let sim_instance method_name (config : Redo_sim.Simulator.config) =
+  Redo_methods.Registry.find method_name ~cache_capacity:config.cache_capacity
+    ~partitions:config.partitions ()
 
 (* --- metrics plumbing --- *)
 
@@ -192,35 +220,12 @@ let graphs dir =
 
 (* --- sim --- *)
 
-let sim method_name seed ops partitions cache crash_every checkpoint_every domains
-    checkpoint_shards group_commit metrics chrome_trace =
+let sim method_name config domains checkpoint_shards group_commit metrics chrome_trace =
   with_metrics metrics @@ fun () ->
   with_spans chrome_trace @@ fun () ->
   let open Redo_sim in
-  let make =
-    match List.assoc_opt method_name Redo_methods.Registry.all with
-    | Some make -> make
-    | None ->
-      Fmt.epr "unknown method %S (available: %s)@." method_name
-        (String.concat ", " method_names);
-      exit 2
-  in
-  let config =
-    {
-      Simulator.default_config with
-      Simulator.seed;
-      total_ops = ops;
-      partitions;
-      cache_capacity = cache;
-      crash_every = (if crash_every <= 0 then None else Some crash_every);
-      checkpoint_every = (if checkpoint_every <= 0 then None else Some checkpoint_every);
-      domains;
-      checkpoint_shards;
-      group_commit;
-    }
-  in
-  let instance = make ~cache_capacity:cache ~partitions () in
-  let o = Simulator.run config instance in
+  let config = { config with Simulator.domains; checkpoint_shards; group_commit } in
+  let o = Simulator.run config (sim_instance method_name config) in
   Fmt.pr "%a@." Simulator.pp_outcome o;
   List.iter (fun m -> Fmt.pr "content failure: %s@." m) o.Simulator.verify_failures;
   List.iter
@@ -371,50 +376,33 @@ let check method_name seed ops partitions cache domains group_commit metrics chr
 (* --- stats --- *)
 
 (* Run a crashing workload purely for its telemetry: the metrics
-   registry (counters, histograms) plus the tail of the trace-event
-   stream, captured in a ring-buffer sink. *)
-let stats method_name seed ops partitions cache crash_every checkpoint_every format events =
+   registry (counters, histograms) plus the last [events] frames of the
+   flight recorder, which records the run from a fresh epoch. *)
+let stats method_name config format events =
   let open Redo_sim in
-  let make =
-    match List.assoc_opt method_name Redo_methods.Registry.all with
-    | Some make -> make
-    | None ->
-      Fmt.epr "unknown method %S (available: %s)@." method_name
-        (String.concat ", " method_names);
-      exit 2
-  in
+  let module Flight = Redo_obs.Flight in
   Redo_obs.Metrics.reset ();
-  let ring = Redo_obs.Trace.make_ring ~capacity:events in
-  Redo_obs.Trace.set_sink (Redo_obs.Trace.Ring ring);
-  let config =
-    {
-      Simulator.default_config with
-      Simulator.seed;
-      total_ops = ops;
-      partitions;
-      cache_capacity = cache;
-      crash_every = (if crash_every <= 0 then None else Some crash_every);
-      checkpoint_every = (if checkpoint_every <= 0 then None else Some checkpoint_every);
-    }
+  Flight.reset ();
+  Flight.set_enabled true;
+  let o =
+    Fun.protect
+      ~finally:(fun () -> Flight.set_enabled false)
+      (fun () -> Simulator.run config (sim_instance method_name config))
   in
-  let o = Simulator.run config (make ~cache_capacity:cache ~partitions ()) in
-  Redo_obs.Trace.set_sink Redo_obs.Trace.Null;
   let snapshot = Redo_obs.Metrics.snapshot () in
+  let frames = (Flight.scan ()).Flight.frames in
+  let skip = List.length frames - events in
+  let tail = List.filteri (fun i _ -> i >= skip) frames in
   (match format with
   | `Pretty ->
     Fmt.pr "%s: %d ops, %d crashes, %d checkpoints@.@." method_name o.Simulator.kv_ops
       o.Simulator.crashes o.Simulator.checkpoints;
     Fmt.pr "%a@." Redo_obs.Metrics.pp snapshot;
-    let tail = Redo_obs.Trace.ring_events ring in
-    Fmt.pr "@.trace (last %d of %d events):@." (List.length tail)
-      (Redo_obs.Trace.ring_seen ring);
-    List.iter (fun e -> Fmt.pr "  %a@." Redo_obs.Trace.pp_event e) tail
+    Fmt.pr "@.flight recorder (last %d of %d surviving frames):@." (List.length tail)
+      (List.length frames);
+    List.iter (fun f -> Fmt.pr "  %a@." Flight.pp_frame f) tail
   | `Json ->
-    let events =
-      Redo_obs.Trace.ring_events ring
-      |> List.map Redo_obs.Trace.event_to_json
-      |> String.concat ", "
-    in
+    let events = List.map Flight.frame_to_json tail |> String.concat ", " in
     Fmt.pr "{\"metrics\": %s, \"events\": [%s]}@." (Redo_obs.Metrics.to_json snapshot) events);
   if o.Simulator.verify_failures = [] then 0 else 1
 
@@ -424,38 +412,17 @@ let stats method_name seed ops partitions cache crash_every checkpoint_every for
    recording on, then answer the two questions the span tree exists for:
    where does recovery wall-clock go (the critical path through each
    sim.recovery root) and how lopsided are the shard replays. *)
-let profile method_name seed ops partitions cache crash_every checkpoint_every domains
-    checkpoint_shards chrome_trace =
+let profile method_name config domains checkpoint_shards chrome_trace =
   let open Redo_sim in
   let module Span = Redo_obs.Span in
   let module Profile = Redo_obs.Profile in
-  let make =
-    match List.assoc_opt method_name Redo_methods.Registry.all with
-    | Some make -> make
-    | None ->
-      Fmt.epr "unknown method %S (available: %s)@." method_name
-        (String.concat ", " method_names);
-      exit 2
-  in
-  let config =
-    {
-      Simulator.default_config with
-      Simulator.seed;
-      total_ops = ops;
-      partitions;
-      cache_capacity = cache;
-      crash_every = (if crash_every <= 0 then None else Some crash_every);
-      checkpoint_every = (if checkpoint_every <= 0 then None else Some checkpoint_every);
-      domains;
-      checkpoint_shards;
-    }
-  in
+  let config = { config with Simulator.domains; checkpoint_shards } in
   Span.reset ();
   Span.set_enabled true;
   let o =
     Fun.protect
       ~finally:(fun () -> Span.set_enabled false)
-      (fun () -> Simulator.run config (make ~cache_capacity:cache ~partitions ()))
+      (fun () -> Simulator.run config (sim_instance method_name config))
   in
   let spans = Span.collect () in
   Option.iter (fun file -> write_chrome_trace file spans) chrome_trace;
@@ -537,18 +504,12 @@ let triage method_name seed ops partitions cache staged drop segments segment_by
     if scan.Flight.frames = [] then 1 else 0
   | None ->
     let open Redo_sim in
-    let make =
-      match List.assoc_opt method_name Redo_methods.Registry.all with
-      | Some make -> make
-      | None ->
-        Fmt.epr "unknown method %S (available: %s)@." method_name
-          (String.concat ", " method_names);
-        exit 2
-    in
     Flight.configure ~segments ~segment_bytes ();
     Flight.set_enabled true;
     Fun.protect ~finally:(fun () -> Flight.set_enabled false) @@ fun () ->
-    let instance = make ~cache_capacity:cache ~partitions () in
+    let instance =
+      Redo_methods.Registry.find method_name ~cache_capacity:cache ~partitions ()
+    in
     let log = Redo_methods.Method_intf.instance_log instance in
     (* Inline group commit: forces batch, shard records piggyback, and
        force_async gives us real staged tickets to race the crash. *)
@@ -910,9 +871,8 @@ let sim_cmd =
   Cmd.v
     (Cmd.info "sim" ~doc:"Run a crash-recovery simulation with content and theory verification")
     Term.(
-      const sim $ method_arg $ seed_arg $ ops_arg $ partitions_arg $ cache_arg $ crash_every_arg
-      $ checkpoint_every_arg $ domains_arg $ checkpoint_shards_arg $ group_commit_arg
-      $ metrics_arg $ chrome_trace_arg)
+      const sim $ method_arg $ sim_config $ domains_arg $ checkpoint_shards_arg
+      $ group_commit_arg $ metrics_arg $ chrome_trace_arg)
 
 let torture_cmd =
   let seeds = Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"N" ~doc:"Seeds per method.") in
@@ -937,16 +897,15 @@ let stats_cmd =
   let events =
     Arg.(
       value & opt int 24
-      & info [ "events" ] ~docv:"N" ~doc:"Trace events to retain in the ring buffer.")
+      & info [ "events" ] ~docv:"N"
+          ~doc:"Flight-recorder frames to print from the end of the run.")
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Run a crashing workload and dump the telemetry: WAL/cache/recovery counters, \
-          histograms, and the trace-event tail")
-    Term.(
-      const stats $ method_arg $ seed_arg $ ops_arg $ partitions_arg $ cache_arg
-      $ crash_every_arg $ checkpoint_every_arg $ format $ events)
+          histograms, and the flight recorder's tail")
+    Term.(const stats $ method_arg $ sim_config $ format $ events)
 
 let profile_cmd =
   Cmd.v
@@ -955,8 +914,7 @@ let profile_cmd =
          "Span-profile the recoveries: critical-path attribution, shard-imbalance report, \
           optional Chrome trace")
     Term.(
-      const profile $ method_arg $ seed_arg $ ops_arg $ partitions_arg $ cache_arg
-      $ crash_every_arg $ checkpoint_every_arg $ domains_arg $ checkpoint_shards_arg
+      const profile $ method_arg $ sim_config $ domains_arg $ checkpoint_shards_arg
       $ chrome_trace_arg)
 
 let triage_cmd =

@@ -2,7 +2,6 @@ open Redo_storage
 open Redo_wal
 module Domain_pool = Redo_par.Domain_pool
 module Metrics = Redo_obs.Metrics
-module Trace = Redo_obs.Trace
 module Span = Redo_obs.Span
 module Flight = Redo_obs.Flight
 module Int_set = Set.Make (Int)
@@ -249,14 +248,7 @@ let install_run ?pool ~domains ?before_install ~note cache log =
              total;
              horizon = Lsn.to_int horizon;
              pages = comp.pages;
-           });
-    if Trace.enabled () then
-      Trace.emit "ckpt.shard_installed"
-        [
-          "shard", Trace.Int idx;
-          "pages", Trace.Int (List.length comp.pages);
-          "horizon", Trace.Int (Lsn.to_int horizon);
-        ]
+           })
   in
   let disk = Cache.disk cache in
   let parallel = (domains > 1 || pool <> None) && total > 1 in

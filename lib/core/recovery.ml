@@ -1,5 +1,4 @@
 module Metrics = Redo_obs.Metrics
-module Trace = Redo_obs.Trace
 module Span = Redo_obs.Span
 module Domain_pool = Redo_par.Domain_pool
 
@@ -450,7 +449,7 @@ let auditor ?universe ~log ~redo_set () =
 
 let audit_point a ~state ~unrecovered =
   let installed = installed_at ~log:a.a_log ~redo_set:a.a_redo_set ~unrecovered in
-  let violation =
+  a.a_violation <-
     if not (Explain.ctx_is_installation_prefix a.a_ctx installed) then
       Some
         {
@@ -467,30 +466,16 @@ let audit_point a ~state ~unrecovered =
           reason = "installed prefix does not explain the state";
         }
     else None
-  in
-  (match violation with
-  | Some v ->
-    a.a_violation <- Some v;
-    if Trace.enabled () then
-      Trace.emit "recover.invariant_violation"
-        [
-          "iteration", Trace.Int v.at_iteration;
-          "installed", Trace.String (Fmt.str "%a" Digraph.Node_set.pp v.installed);
-          "reason", Trace.String v.reason;
-        ]
-  | None -> ());
-  violation
 
 let audit_observe a it =
   if a.a_violation = None then begin
-    ignore (audit_point a ~state:it.state_before ~unrecovered:it.unrecovered_before);
+    audit_point a ~state:it.state_before ~unrecovered:it.unrecovered_before;
     a.a_checked <- a.a_checked + 1
   end
 
 let audit_finish a ~final =
-  (match a.a_violation with
-  | Some _ -> ()
-  | None -> ignore (audit_point a ~state:final ~unrecovered:Digraph.Node_set.empty));
+  if a.a_violation = None then
+    audit_point a ~state:final ~unrecovered:Digraph.Node_set.empty;
   { violation = a.a_violation; iterations_checked = a.a_checked }
 
 let audit ?universe ~log result =

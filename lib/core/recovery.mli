@@ -184,9 +184,9 @@ val installed_at :
 
     The audit has two forms. The streaming form pairs an {!auditor}
     with {!recover}'s [~sink], checking the invariant at every
-    iteration as recovery runs — O(1) retained memory, and a violation
-    is emitted as a [recover.invariant_violation] trace event (with the
-    installed set and reason) the moment it is observed. The post-hoc
+    iteration as recovery runs — O(1) retained memory, and checking
+    stops at the first violation, which {!audit_finish} reports with
+    its installed set and reason. The post-hoc
     form, {!audit} / {!check_invariant}, replays the [iterations] of a
     [~trace:true] result through the same checks. *)
 

@@ -373,14 +373,9 @@ let crash_with t ~torn ~drop =
      volatile log, and the crash then loses precisely the unforced
      tail — the same loss model as the single-domain facades. *)
   drain t;
-  let crash_no = Atomic.get t.crashes + 1 in
-  (* The simulator's crash-gate discipline: seal the recorder's epoch
-     (tearing its medium in step with the WAL's), then stamp the crash
-     marker into the fresh segment before volatile state is discarded. *)
-  if Flight.enabled () then begin
-    if torn then Flight.crash ~drop () else Flight.crash ();
-    Flight.emit (Flight.Crash { crash = crash_no; torn })
-  end;
+  (* The crash gate tears the recorder's medium in step with the WAL's
+     before volatile state is discarded. *)
+  Flight.crash ~drop (Atomic.get t.crashes + 1);
   if torn then Log_manager.crash_torn t.log ~drop else Log_manager.crash t.log;
   (* Staged-but-unforced operations are gone; so are their tickets. *)
   if Oplat.enabled () then Oplat.drop_inflight ();

@@ -98,14 +98,8 @@ let group_commit_enabled t =
   Redo_wal.Log_manager.group_attached (Method_intf.instance_log t.instance)
 
 let crash t =
-  (* Same discipline as the simulator's crash gate: seal the recorder's
-     epoch (clean tear here — the store facade models a plain process
-     kill), then stamp the crash marker into the fresh segment before
-     volatile state is discarded. *)
-  if Flight.enabled () then begin
-    Flight.crash ();
-    Flight.emit (Flight.Crash { crash = Atomic.get t.recoveries + 1; torn = false })
-  end;
+  (* A clean crash gate: the store facade models a plain process kill. *)
+  Flight.crash (Atomic.get t.recoveries + 1);
   Method_intf.instance_crash t.instance
 
 let recover t =

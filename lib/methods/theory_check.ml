@@ -1,7 +1,6 @@
 open Redo_core
 open Redo_storage
 module Span = Redo_obs.Span
-module Trace = Redo_obs.Trace
 
 type report = {
   method_name : string;
@@ -225,11 +224,6 @@ let check ?(domains = 2) ?pool (p : Projection.t) =
                 Some "sharded-horizon recovery diverged from global: different redo set"
               else None
           in
-          (match failure with
-          | Some msg when Trace.enabled () ->
-            Trace.emit "theory.sharded_divergence"
-              [ "method", Trace.String method_name; "reason", Trace.String msg ]
-          | _ -> ());
           failure = None, audited, failure
       in
       (* The lazy ≡ eager leg: replay the same redo set in demand order
@@ -261,11 +255,6 @@ let check ?(domains = 2) ?pool (p : Projection.t) =
               Some "lazy (demand-order) recovery diverged from sequential: different redo set"
             else None
           in
-          (match failure with
-          | Some msg when Trace.enabled () ->
-            Trace.emit "theory.lazy_divergence"
-              [ "method", Trace.String method_name; "reason", Trace.String msg ]
-          | _ -> ());
           failure = None, failure
       in
       let failure =

@@ -1,7 +1,7 @@
 (* Crash-surviving flight recorder.
 
-   Every observability layer above this one (metrics, trace sinks, the
-   span profiler) lives in process memory, so the one event this whole
+   Every other observability layer (metrics, the span profiler, the
+   latency tracer) lives in process memory, so the one event this whole
    repo is about — the crash — destroys it. The flight recorder is the
    layer that survives: compact, checksummed event frames appended to a
    bounded ring of stable segments, framed with exactly the WAL's
@@ -11,10 +11,10 @@
 
    The model mirrors the simulated WAL medium: segments are "stable
    bytes" — a crash discards the process but keeps them, except for the
-   torn suffix of the actively-written segment (Flight.crash ~drop
-   applies the same tear the log medium suffers). Post-crash triage
-   (Triage, `redo triage`) then reads the survivors with no help from
-   live process state.
+   torn suffix of the actively-written segment (the crash gate,
+   Flight.crash ~drop, applies the same tear the log medium suffers).
+   Post-crash triage (Triage, `redo triage`) then reads the survivors
+   with no help from live process state.
 
    Concurrency: one global recorder behind a mutex. Emission sites guard
    on [enabled ()] (a single Atomic load-and-branch, the Span.enabled
@@ -79,27 +79,27 @@ let event_name = function
   | Note _ -> "flight.note"
   | Lazy_drain _ -> "flight.lazy_drain"
 
-let event_attrs : event -> (string * Trace.value) list = function
-  | Commit { lsn } -> [ ("lsn", Trace.Int lsn) ]
-  | Stage { lsn } -> [ ("lsn", Trace.Int lsn) ]
-  | Batch { upto; requests } -> [ ("upto", Trace.Int upto); ("requests", Trace.Int requests) ]
-  | Force { upto; records } -> [ ("upto", Trace.Int upto); ("records", Trace.Int records) ]
-  | Checkpoint { lsn; dirty } -> [ ("lsn", Trace.Int lsn); ("dirty", Trace.Int dirty) ]
+let event_attrs : event -> (string * Span.value) list = function
+  | Commit { lsn } -> [ ("lsn", Span.Int lsn) ]
+  | Stage { lsn } -> [ ("lsn", Span.Int lsn) ]
+  | Batch { upto; requests } -> [ ("upto", Span.Int upto); ("requests", Span.Int requests) ]
+  | Force { upto; records } -> [ ("upto", Span.Int upto); ("records", Span.Int records) ]
+  | Checkpoint { lsn; dirty } -> [ ("lsn", Span.Int lsn); ("dirty", Span.Int dirty) ]
   | Shard_ckpt { lsn; shard; total; horizon; pages } ->
     [
-      ("lsn", Trace.Int lsn);
-      ("shard", Trace.Int shard);
-      ("total", Trace.Int total);
-      ("horizon", Trace.Int horizon);
-      ("pages", Trace.Int (List.length pages));
+      ("lsn", Span.Int lsn);
+      ("shard", Span.Int shard);
+      ("total", Span.Int total);
+      ("horizon", Span.Int horizon);
+      ("pages", Span.Int (List.length pages));
     ]
-  | Flush { page; forced } -> [ ("page", Trace.Int page); ("forced", Trace.Bool forced) ]
-  | Evict { page; dirty } -> [ ("page", Trace.Int page); ("dirty", Trace.Bool dirty) ]
-  | Phase { name; crash } -> [ ("phase", Trace.String name); ("crash", Trace.Int crash) ]
-  | Crash { crash; torn } -> [ ("crash", Trace.Int crash); ("torn", Trace.Bool torn) ]
-  | Note s -> [ ("note", Trace.String s) ]
+  | Flush { page; forced } -> [ ("page", Span.Int page); ("forced", Span.Bool forced) ]
+  | Evict { page; dirty } -> [ ("page", Span.Int page); ("dirty", Span.Bool dirty) ]
+  | Phase { name; crash } -> [ ("phase", Span.String name); ("crash", Span.Int crash) ]
+  | Crash { crash; torn } -> [ ("crash", Span.Int crash); ("torn", Span.Bool torn) ]
+  | Note s -> [ ("note", Span.String s) ]
   | Lazy_drain { page; queue; demand } ->
-    [ ("page", Trace.Int page); ("queue", Trace.Int queue); ("demand", Trace.Bool demand) ]
+    [ ("page", Span.Int page); ("queue", Span.Int queue); ("demand", Span.Bool demand) ]
 
 exception Decode_error of string
 
@@ -344,54 +344,57 @@ let next_seq_locked domain =
     Hashtbl.replace r.seqs domain (ref 1);
     1
 
-let emit event =
-  if Atomic.get on then
-    locked (fun () ->
-        let domain = (Domain.self () :> int) in
-        let seq = next_seq_locked domain in
-        let ts_ns = now_ns () - r.t0_ns in
-        Buffer.clear r.scratch;
-        encode_payload r.scratch { seq; domain; ts_ns; event };
-        let payload = Buffer.contents r.scratch in
-        let plen = String.length payload in
-        let frame = header_size + plen in
-        if frame > r.seg_bytes then begin
-          (* A frame that cannot fit even an empty segment is dropped
-             rather than silently corrupting the ring. *)
-          r.dropped <- r.dropped + 1;
-          Metrics.incr c_dropped
-        end
-        else begin
-          let s = r.segs.(r.active) in
-          let s =
-            if s.s_len + frame > r.seg_bytes then begin
-              rotate_locked ();
-              r.segs.(r.active)
-            end
-            else s
-          in
-          Bytes.set_int32_be s.s_buf s.s_len (Int32.of_int plen);
-          Bytes.set_int32_be s.s_buf (s.s_len + 4) (Int32.of_int (Checksum.string payload));
-          Bytes.blit_string payload 0 s.s_buf (s.s_len + header_size) plen;
-          s.s_len <- s.s_len + frame;
-          s.s_frames <- s.s_frames + 1;
-          Metrics.incr c_frames;
-          Metrics.add c_bytes frame
-        end)
+let append_locked event =
+  let domain = (Domain.self () :> int) in
+  let seq = next_seq_locked domain in
+  let ts_ns = now_ns () - r.t0_ns in
+  Buffer.clear r.scratch;
+  encode_payload r.scratch { seq; domain; ts_ns; event };
+  let payload = Buffer.contents r.scratch in
+  let plen = String.length payload in
+  let frame = header_size + plen in
+  if frame > r.seg_bytes then begin
+    (* A frame that cannot fit even an empty segment is dropped
+       rather than silently corrupting the ring. *)
+    r.dropped <- r.dropped + 1;
+    Metrics.incr c_dropped
+  end
+  else begin
+    let s = r.segs.(r.active) in
+    let s =
+      if s.s_len + frame > r.seg_bytes then begin
+        rotate_locked ();
+        r.segs.(r.active)
+      end
+      else s
+    in
+    Bytes.set_int32_be s.s_buf s.s_len (Int32.of_int plen);
+    Bytes.set_int32_be s.s_buf (s.s_len + 4) (Int32.of_int (Checksum.string payload));
+    Bytes.blit_string payload 0 s.s_buf (s.s_len + header_size) plen;
+    s.s_len <- s.s_len + frame;
+    s.s_frames <- s.s_frames + 1;
+    Metrics.incr c_frames;
+    Metrics.add c_bytes frame
+  end
+
+let emit event = if Atomic.get on then locked (fun () -> append_locked event)
 
 (* ---- crash --------------------------------------------------------- *)
 
-(* The crash takes the recorder's medium with it: the actively-written
-   segment loses its torn suffix (same [drop] the WAL medium suffers),
-   then the epoch is sealed — the next frame lands in a fresh segment,
-   so post-crash recording never muddies the pre-crash evidence. *)
-let crash ?(drop = 0) () =
-  locked (fun () ->
-      let s = r.segs.(r.active) in
-      if drop > 0 then s.s_len <- max 0 (s.s_len - drop);
-      if s.s_len > 0 then rotate_locked ())
-
-let seal () = crash ()
+(* The crash gate. The crash takes the recorder's medium with it: the
+   actively-written segment loses its torn suffix (same [drop] the WAL
+   medium suffers), then the epoch is sealed, so post-crash recording
+   never muddies the pre-crash evidence. Only then is the Crash marker
+   stamped, into the fresh segment: nobody records their own crash
+   mid-flight, so the marker is the gate's bookkeeping and survives
+   every tear, which triage's epoch scoping relies on. *)
+let crash ?(drop = 0) crash_no =
+  if Atomic.get on then
+    locked (fun () ->
+        let s = r.segs.(r.active) in
+        if drop > 0 then s.s_len <- max 0 (s.s_len - drop);
+        if s.s_len > 0 then rotate_locked ();
+        append_locked (Crash { crash = crash_no; torn = drop > 0 }))
 
 (* ---- scan ---------------------------------------------------------- *)
 
@@ -560,14 +563,7 @@ let pp_frame ppf f =
 let frame_to_json f =
   let attrs =
     event_attrs f.event
-    |> List.map (fun (k, v) ->
-           Printf.sprintf "%S: %s"
-             k
-             (match v with
-             | Trace.String s -> Printf.sprintf "%S" s
-             | Trace.Int i -> string_of_int i
-             | Trace.Float x -> Printf.sprintf "%.17g" x
-             | Trace.Bool b -> string_of_bool b))
+    |> List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (Span.json_value v))
     |> String.concat ", "
   in
   Printf.sprintf "{\"event\": %S, \"seq\": %d, \"domain\": %d, \"ts_ns\": %d, %s}"

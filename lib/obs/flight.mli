@@ -12,8 +12,8 @@
     {!enabled} (one Atomic load-and-branch when off, the
     [Span.enabled] pattern). Its segments model stable storage in the
     same way the simulated WAL medium does: {!crash} applies the torn
-    tail and seals the epoch, after which {!scan} / {!save} read the
-    survivors with no live process state. *)
+    tail, seals the epoch and stamps the crash marker, after which
+    {!scan} / {!save} read the survivors with no live process state. *)
 
 type event =
   | Commit of { lsn : int }
@@ -31,7 +31,8 @@ type event =
   | Evict of { page : int; dirty : bool }  (** Cache evicted an entry. *)
   | Phase of { name : string; crash : int }  (** Recovery phase transition. *)
   | Crash of { crash : int; torn : bool }
-      (** Emitted just before the medium tears; may itself be torn off. *)
+      (** The crash marker {!crash} stamps into the fresh segment after
+          the tear, so it survives the tear. *)
   | Note of string  (** Free-form marker (tests, tooling). *)
   | Lazy_drain of { page : int; queue : int; demand : bool }
       (** Instant restart drained one page's redo queue of [queue]
@@ -66,15 +67,14 @@ val emit : event -> unit
 
 (** {1 Crash} *)
 
-val crash : ?drop:int -> unit -> unit
-(** The crash reaches the recorder's medium: chop [drop] bytes off the
-    actively-written segment (the same tear the WAL medium suffers —
-    possibly leaving a torn frame for the scan to truncate), then seal
-    the epoch so post-crash frames land in a fresh segment. *)
-
-val seal : unit -> unit
-(** [crash ~drop:0 ()]: rotate away from the active segment without
-    tearing it. *)
+val crash : ?drop:int -> int -> unit
+(** [crash ?drop n] is the crash gate for crash number [n], run before
+    volatile state is discarded. The crash reaches the recorder's
+    medium: chop [drop] bytes (default 0) off the actively-written
+    segment (the same tear the WAL medium suffers — possibly leaving a
+    torn frame for the scan to truncate), seal the epoch, then stamp
+    [Crash { crash = n; torn = drop > 0 }] as the first frame of the
+    fresh segment. No-op when disabled, like {!emit}. *)
 
 (** {1 Post-crash scan} *)
 
@@ -107,7 +107,7 @@ val event_name : event -> string
 (** Stable dotted name, e.g. ["flight.force"] — used as the span/track
     name in Chrome-trace export. *)
 
-val event_attrs : event -> (string * Trace.value) list
+val event_attrs : event -> (string * Span.value) list
 val pp_event : Format.formatter -> event -> unit
 val pp_frame : Format.formatter -> frame -> unit
 val frame_to_json : frame -> string

@@ -267,12 +267,6 @@ let pp ppf s =
 
 (* %.17g round-trips any float; plain integers render without an
    exponent for the common case. *)
-(* Namespaced alias so call sites can spell the generator
-   [Metrics.Histogram.log_scale ~lo ~hi ()]. *)
-module Histogram = struct
-  let log_scale = log_scale
-end
-
 let json_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v

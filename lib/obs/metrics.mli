@@ -68,11 +68,6 @@ val log_scale : ?per_decade:int -> lo:float -> hi:float -> unit -> float array
     Raises [Invalid_argument] unless [0 < lo < hi] and
     [per_decade >= 1]. *)
 
-(** Alias namespace: [Histogram.log_scale ~lo ~hi ()]. *)
-module Histogram : sig
-  val log_scale : ?per_decade:int -> lo:float -> hi:float -> unit -> float array
-end
-
 val histogram : ?registry:t -> ?bounds:float array -> string -> histogram
 (** [bounds] (default {!duration_bounds_ns}) must be strictly
     increasing; it is fixed at first creation and ignored on later

@@ -87,7 +87,7 @@ let e2e_ns tk = Float.max 0. (end_ns tk -. tk.t_post)
    tallies. These are local accumulators, not registry histograms: a
    registry lookup by name returns one shared single-writer instance,
    which is exactly what concurrent recording domains must not share. *)
-let bounds = Metrics.Histogram.log_scale ~per_decade:6 ~lo:100. ~hi:1e10 ()
+let bounds = Metrics.log_scale ~per_decade:6 ~lo:100. ~hi:1e10 ()
 let nbuckets = Array.length bounds + 1
 
 type hist = {
@@ -149,7 +149,7 @@ type acc = {
 let on = Atomic.make false
 let sample_every = Atomic.make 32
 let reservoir_cap = Atomic.make 128
-let ts_bucket_ns = Atomic.make 1e8 (* 100 ms *)
+let ts_bucket_ns = 1e8 (* 100 ms *)
 let ts_origin = Atomic.make 0.
 let dropped = Atomic.make 0
 
@@ -193,15 +193,9 @@ let set_sample_every n =
   if n < 1 then invalid_arg "Oplat.set_sample_every: need n >= 1";
   Atomic.set sample_every n
 
-let sample_interval () = Atomic.get sample_every
-
 let set_reservoir n =
   if n < 1 then invalid_arg "Oplat.set_reservoir: need n >= 1";
   Atomic.set reservoir_cap n
-
-let set_ts_bucket_ms ms =
-  if not (ms > 0.) then invalid_arg "Oplat.set_ts_bucket_ms: need ms > 0";
-  Atomic.set ts_bucket_ns (ms *. 1e6)
 
 (* ---- recording: client/owner edges ---------------------------------- *)
 
@@ -273,7 +267,7 @@ let finalize a tk =
     let j = Random.State.int a.a_rng a.a_res_seen in
     if j < cap then a.a_res.(j) <- tk
   end;
-  let b = int_of_float ((end_ns tk -. Atomic.get ts_origin) /. Atomic.get ts_bucket_ns) in
+  let b = int_of_float ((end_ns tk -. Atomic.get ts_origin) /. ts_bucket_ns) in
   let cell =
     match Hashtbl.find_opt a.a_ts b with
     | Some c -> c
@@ -809,7 +803,7 @@ let timeseries_jsonl () =
         a.a_ts)
     accs_l;
   let keys = Hashtbl.fold (fun k _ l -> k :: l) tbl [] |> List.sort compare in
-  let bucket_ms = Atomic.get ts_bucket_ns /. 1e6 in
+  let bucket_ms = ts_bucket_ns /. 1e6 in
   let buf = Buffer.create 1024 in
   List.iter
     (fun b ->

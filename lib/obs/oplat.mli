@@ -36,13 +36,8 @@ val set_sample_every : int -> unit
 (** Sample one operation in [n] per posting domain (default 32).
     Raises [Invalid_argument] if [n < 1]. *)
 
-val sample_interval : unit -> int
-
 val set_reservoir : int -> unit
 (** Per-domain cap on retained full traces (default 128). *)
-
-val set_ts_bucket_ms : float -> unit
-(** Wall-clock bucket width of the time series (default 100 ms). *)
 
 val reset : unit -> unit
 (** Clear every accumulator, the in-flight table, the drop tally and
@@ -174,7 +169,7 @@ val pp : Format.formatter -> report -> unit
 val to_json : report -> string
 
 val timeseries_jsonl : unit -> string
-(** One JSON object per line per wall-clock bucket:
+(** One JSON object per line per 100 ms wall-clock bucket:
     [{"t_ms", "ops", "mean_ns", "max_ns", "stages_ns": {...}}]. *)
 
 val chrome_json : unit -> string

@@ -1,4 +1,16 @@
-type value = Trace.value = String of string | Int of int | Float of float | Bool of bool
+type value = String of string | Int of int | Float of float | Bool of bool
+
+let pp_value ppf = function
+  | String s -> Fmt.string ppf s
+  | Int i -> Fmt.int ppf i
+  | Float f -> Fmt.pf ppf "%g" f
+  | Bool b -> Fmt.bool ppf b
+
+let json_value = function
+  | String s -> Printf.sprintf "%S" s
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%.17g" f
+  | Bool b -> string_of_bool b
 
 type span = {
   id : int;
@@ -133,7 +145,7 @@ let pp ppf s =
   Fmt.pf ppf "#%d%s d%d %-24s %.0fns" s.id
     (if s.parent = 0 then "" else Fmt.str "<-#%d" s.parent)
     s.domain s.name (duration_ns s);
-  List.iter (fun (k, v) -> Fmt.pf ppf " %s=%a" k Trace.pp_value v) s.attrs
+  List.iter (fun (k, v) -> Fmt.pf ppf " %s=%a" k pp_value v) s.attrs
 
 (* ---- Chrome trace_event export ------------------------------------ *)
 
@@ -166,12 +178,6 @@ let chrome_events spans =
         ev_tid = s.domain;
       })
     spans
-
-let json_value = function
-  | String s -> Printf.sprintf "%S" s
-  | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%.17g" f
-  | Bool b -> string_of_bool b
 
 let chrome_json spans =
   let buf = Buffer.create 4096 in

@@ -1,11 +1,10 @@
 (** Hierarchical, domain-aware timed spans.
 
     A span is a named interval with an id, a parent id, the id of the
-    domain that recorded it, and typed attributes — the tree-shaped
-    counterpart of a {!Trace} event. The same hot-path discipline
-    applies: with profiling disabled (the default) {!span} costs one
-    load-and-branch and runs the thunk directly; call sites hotter than
-    a closure allocation guard on {!enabled} themselves.
+    domain that recorded it, and typed attributes. With profiling
+    disabled (the default) {!span} costs one load-and-branch and runs
+    the thunk directly; call sites hotter than a closure allocation
+    guard on {!enabled} themselves.
 
     When enabled, each domain records into its own buffer with no
     synchronisation (one mutex acquisition per domain lifetime, to
@@ -17,7 +16,12 @@
     while another domain is still recording is a data race — join (or
     quiesce) the workers first, as {!Redo_par.Domain_pool.run} does. *)
 
-type value = Trace.value = String of string | Int of int | Float of float | Bool of bool
+type value = String of string | Int of int | Float of float | Bool of bool
+(** A typed attribute value: span attributes, and the fields of a
+    {!Flight} frame when it is rendered. *)
+
+val json_value : value -> string
+(** The value as a JSON literal; strings are quoted. *)
 
 type span = {
   id : int;  (** Unique within a recording session, 1-based. *)

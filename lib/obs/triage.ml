@@ -405,7 +405,7 @@ let chrome_spans r =
         ~name:(Flight.event_name f.Flight.event)
         ~start_ns:(float_of_int f.Flight.ts_ns)
         ~end_ns:(float_of_int f.Flight.ts_ns)
-        ~attrs:(("seq", Trace.Int f.Flight.seq) :: Flight.event_attrs f.Flight.event))
+        ~attrs:(("seq", Span.Int f.Flight.seq) :: Flight.event_attrs f.Flight.event))
     r.flight.Flight.frames
 
 let chrome_json r = Span.chrome_json (chrome_spans r)

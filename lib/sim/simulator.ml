@@ -1,6 +1,5 @@
 open Redo_methods
 module Metrics = Redo_obs.Metrics
-module Trace = Redo_obs.Trace
 module Span = Redo_obs.Span
 module Flight = Redo_obs.Flight
 
@@ -75,24 +74,11 @@ type outcome = {
   recovery_seconds : float;
 }
 
-(* The one gate every crash goes through. Before volatile state is
-   discarded, the flight recorder's own medium takes the crash too: the
-   Crash frame is emitted, the same byte tear is applied to the
-   recorder's active segment (possibly chopping that very frame — torn
-   crashes must exercise the recorder's torn-tail scan exactly like the
-   WAL's), and the epoch is sealed so post-crash frames land in a fresh
-   segment. Only then does the instance crash. *)
+(* Every simulated crash goes through here: the recorder's medium takes
+   the same tear as the WAL's before the instance discards volatile
+   state. *)
 let crash_instance ?torn_drop ~crash_no instance =
-  if Flight.enabled () then begin
-    (* The tear hits whatever frames were in flight — the recorder's
-       medium suffers the same [drop] the WAL's does — and the seal
-       closes the epoch. Only then does the crash gate stamp its death
-       certificate into the fresh segment: nobody records their own
-       crash mid-flight, so the marker is the gate's bookkeeping and
-       must survive every tear for triage's epoch scoping to hold. *)
-    Flight.crash ?drop:torn_drop ();
-    Flight.emit (Flight.Crash { crash = crash_no; torn = torn_drop <> None })
-  end;
+  Flight.crash ?drop:torn_drop crash_no;
   match torn_drop with
   | Some drop -> Method_intf.instance_crash_torn instance ~drop
   | None -> Method_intf.instance_crash instance
@@ -144,13 +130,6 @@ let crash_recover_verify ?(rng : Random.State.t option) ?pool cfg instance refer
   in
   Metrics.incr c_crashes;
   if torn then Metrics.incr c_torn_crashes;
-  if Trace.enabled () then
-    Trace.emit "sim.crash"
-      [
-        "crash", Trace.Int (!outcome.crashes + 1);
-        "op", Trace.Int !outcome.kv_ops;
-        "torn", Trace.Bool torn;
-      ];
   (* The crash runs the pre-recovery stable-log scan (checksums, torn
      tail truncation): phase one of the recovery timeline. *)
   Span.span "sim.crash_scan" (fun () ->
@@ -169,12 +148,6 @@ let crash_recover_verify ?(rng : Random.State.t option) ?pool cfg instance refer
               (Method_intf.instance_projection instance)
           in
           Metrics.incr (if Theory_check.ok report then c_theory_ok else c_theory_fail);
-          if (not (Theory_check.ok report)) && Trace.enabled () then
-            Trace.emit "sim.theory_violation"
-              [
-                "crash", Trace.Int (!outcome.crashes + 1);
-                "report", Trace.String (Fmt.str "%a" Theory_check.pp_report report);
-              ];
           report :: !outcome.theory_reports)
     end
     else !outcome.theory_reports
@@ -197,14 +170,6 @@ let crash_recover_verify ?(rng : Random.State.t option) ?pool cfg instance refer
   Metrics.add c_rec_redone stats.Method_intf.redone;
   Metrics.add c_rec_skipped stats.Method_intf.skipped;
   Metrics.add c_rec_analysis stats.Method_intf.analysis_scanned;
-  if Trace.enabled () then
-    Trace.emit "sim.recovered"
-      [
-        "crash", Trace.Int (!outcome.crashes + 1);
-        "scanned", Trace.Int stats.Method_intf.scanned;
-        "redone", Trace.Int stats.Method_intf.redone;
-        "skipped", Trace.Int stats.Method_intf.skipped;
-      ];
   flight_phase "sim.verify" ~crash_no:(!outcome.crashes + 1);
   let verify_failures =
     Span.span "sim.verify" @@ fun () ->
@@ -231,15 +196,8 @@ let crash_recover_verify ?(rng : Random.State.t option) ?pool cfg instance refer
             (Printexc.to_string e)
           :: !outcome.verify_failures)
   in
-  if List.length verify_failures > List.length !outcome.verify_failures then begin
+  if List.length verify_failures > List.length !outcome.verify_failures then
     Metrics.incr c_verify_failures;
-    if Trace.enabled () then
-      Trace.emit "sim.verify_failure"
-        [
-          "crash", Trace.Int (!outcome.crashes + 1);
-          "message", Trace.String (List.hd verify_failures);
-        ]
-  end;
   outcome :=
     {
       !outcome with
@@ -342,9 +300,7 @@ let run cfg instance =
                 checkpoints = !outcome.checkpoints + 1;
                 ckpt_shards = !outcome.ckpt_shards + shards;
               };
-            Metrics.incr c_checkpoints;
-            if Trace.enabled () then
-              Trace.emit "sim.checkpoint" [ "op", Trace.Int i; "shards", Trace.Int shards ]
+            Metrics.incr c_checkpoints
           | _ -> ()
         with
        | Exit -> raise Exit

@@ -73,15 +73,13 @@ val pp_outcome : outcome Fmt.t
 (** {1 Crash gate and post-crash triage} *)
 
 val crash_instance : ?torn_drop:int -> crash_no:int -> Method_intf.instance -> unit
-(** The one gate every simulated crash goes through. If the flight
-    recorder is enabled, it applies the same [torn_drop]-byte tear to
-    the recorder's own active segment (so torn crashes exercise the
-    recorder's torn-tail scan exactly like the WAL's), seals the epoch,
-    and then stamps a {!Redo_obs.Flight.event.Crash} marker into the
-    fresh segment — all before the instance discards volatile state.
-    The marker always survives; in-flight frames may not.
-    [torn_drop = None] is a clean crash; [Some drop] tears the final
-    stable-log frame. *)
+(** Every simulated crash goes through here. It runs the flight
+    recorder's crash gate ({!Redo_obs.Flight.crash}: the same
+    [torn_drop]-byte tear on the recorder's active segment, so torn
+    crashes exercise the recorder's torn-tail scan exactly like the
+    WAL's, then the epoch seal and the crash marker) before the
+    instance discards volatile state. [torn_drop = None] is a clean
+    crash; [Some drop] tears the final stable-log frame. *)
 
 val triage_log_summary : Redo_wal.Log_manager.t -> Redo_obs.Triage.log_summary
 (** Plain-data view of the (post-crash) stable log for

@@ -2,7 +2,6 @@ exception Flush_cycle of int list
 
 module Int_set = Set.Make (Int)
 module Metrics = Redo_obs.Metrics
-module Trace = Redo_obs.Trace
 module Span = Redo_obs.Span
 module Flight = Redo_obs.Flight
 
@@ -213,9 +212,6 @@ and flush_entry t ~forced ~visiting pid e =
           if is_dirty t first then begin
             t.stats.forced_order_flushes <- t.stats.forced_order_flushes + 1;
             Metrics.incr c_forced_order_flushes;
-            if Trace.enabled () then
-              Trace.emit "cache.forced_order_flush"
-                [ "page", Trace.Int first; "needed_by", Trace.Int pid ];
             flush_with t ~forced:true ~visiting:(pid :: visiting) first
           end)
         l.pre);

@@ -14,12 +14,12 @@ let c_piggybacked = Metrics.counter "wal.group.piggybacked"
    the tail into the overflow bucket. *)
 let h_batch_requests =
   Metrics.histogram
-    ~bounds:(Metrics.Histogram.log_scale ~lo:1. ~hi:1e6 ())
+    ~bounds:(Metrics.log_scale ~lo:1. ~hi:1e6 ())
     "wal.group.batch_requests"
 
 let h_wait_ns =
   Metrics.histogram
-    ~bounds:(Metrics.Histogram.log_scale ~lo:100. ~hi:1e10 ())
+    ~bounds:(Metrics.log_scale ~lo:100. ~hi:1e10 ())
     "wal.group.wait_ns"
 
 type mode = Inline | Background

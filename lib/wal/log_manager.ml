@@ -1,6 +1,5 @@
 open Redo_storage
 module Metrics = Redo_obs.Metrics
-module Trace = Redo_obs.Trace
 module Span = Redo_obs.Span
 module Flight = Redo_obs.Flight
 module Oplat = Redo_obs.Oplat
@@ -164,13 +163,6 @@ let force_run t ~upto =
       [
         "records", Span.Int (last - first);
         "bytes", Span.Int (stable_bytes - bytes_before);
-      ];
-  if Trace.enabled () then
-    Trace.emit "wal.force"
-      [
-        "upto", Trace.Int last;
-        "records", Trace.Int (last - first);
-        "bytes", Trace.Int (stable_bytes - bytes_before);
       ]
 
 let force_direct t ~upto =
@@ -228,13 +220,7 @@ let restore_from_medium t =
       push t r);
   t.flushed <- (if t.len = 0 then Lsn.zero else Record.lsn t.arr.(t.len - 1));
   Atomic.set t.counters.a_stable_bytes (Stable_log.byte_size t.medium);
-  Metrics.incr c_restores;
-  if Trace.enabled () then
-    Trace.emit "wal.restore"
-      [
-        "records", Trace.Int t.len;
-        "bytes", Trace.Int (Stable_log.byte_size t.medium);
-      ]
+  Metrics.incr c_restores
 
 (* A crash discards group-staged async requests: staged-but-unflushed
    work is lost, never completed. Acquiring the committer's mutex inside

@@ -15,7 +15,6 @@
    decodes every frame in place, in the medium's own bytes. *)
 
 module Metrics = Redo_obs.Metrics
-module Trace = Redo_obs.Trace
 
 let c_frames = Metrics.counter "stable_log.frames_encoded"
 let c_scans = Metrics.counter "stable_log.scans"
@@ -78,8 +77,7 @@ type scan_result = {
 (* The scan proper: each frame's header bounds, CRC and decode are
    checked in the medium's bytes — no payload is copied out — and the
    surviving records go to [push] in order. Returns where the
-   trustworthy prefix ends, whether a torn tail follows it, and how many
-   records it holds. *)
+   trustworthy prefix ends and whether a torn tail follows it. *)
 let scan_frames t ~push =
   let t0 = Metrics.now_ns () in
   let data = t.data and len = t.len in
@@ -106,23 +104,17 @@ let scan_frames t ~push =
   Metrics.add c_scan_records !count;
   if cut then Metrics.incr c_torn_scans;
   Metrics.observe h_scan_ns (Metrics.now_ns () -. t0);
-  end_pos, cut, !count
+  end_pos, cut
 
 let scan t =
   let acc = ref [] in
-  let valid_bytes, torn, _ = scan_frames t ~push:(fun r -> acc := r :: !acc) in
+  let valid_bytes, torn = scan_frames t ~push:(fun r -> acc := r :: !acc) in
   { records = List.rev !acc; valid_bytes; torn }
 
 let truncate_torn t ~push =
-  let end_pos, cut, count = scan_frames t ~push in
+  let end_pos, cut = scan_frames t ~push in
   if cut then begin
     Metrics.add c_truncated_bytes (t.len - end_pos);
-    if Trace.enabled () then
-      Trace.emit "stable_log.truncated"
-        [
-          "dropped_bytes", Trace.Int (t.len - end_pos);
-          "surviving_records", Trace.Int count;
-        ];
     t.len <- end_pos
   end
 

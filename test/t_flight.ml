@@ -1,6 +1,7 @@
-(* Flight recorder: concurrent appends, torn-tail truncation, ring
-   rotation bounds, save/load, event codec — and Triage reproducing the
-   group-commit torn-batch verdicts from surviving frames alone. *)
+(* Flight recorder: concurrent appends, torn-tail truncation, the crash
+   gate, the disabled no-op, ring rotation bounds, save/load, event
+   codec, frame JSON — and Triage reproducing the group-commit
+   torn-batch verdicts from surviving frames alone. *)
 
 open Redo_obs
 open Redo_wal
@@ -59,24 +60,79 @@ let test_concurrent_domains () =
             seqs)
         by_domain)
 
+(* Crash markers and all other frames in a scan, counted apart. *)
+let count_frames scan =
+  let markers, others =
+    List.partition
+      (fun f -> match f.Flight.event with Flight.Crash _ -> true | _ -> false)
+      scan.Flight.frames
+  in
+  List.length markers, List.length others
+
 let test_torn_tail () =
   (* A crash tears bytes off the recorder's active segment; the scan
-     truncates at the damage exactly like the WAL's torn-tail scan. *)
+     truncates at the damage exactly like the WAL's torn-tail scan. The
+     crash marker lands after the tear, in the fresh segment. *)
   with_flight (fun () ->
       for i = 1 to 5 do
         Flight.emit (Flight.Note (Printf.sprintf "n%d" i))
       done;
       Alcotest.(check int) "all five before the crash" 5
         (List.length (Flight.scan ()).Flight.frames);
-      Flight.crash ~drop:3 ();
+      Flight.crash ~drop:3 1;
       let scan = Flight.scan () in
-      Alcotest.(check int) "torn frame truncated" 4
-        (List.length scan.Flight.frames);
+      Alcotest.(check (pair int int)) "torn note truncated, marker whole" (1, 4)
+        (count_frames scan);
       Alcotest.(check bool) "tear detected" true (scan.Flight.torn_segments >= 1);
-      (* Post-crash frames land in a fresh sealed epoch, undamaged. *)
+      (* Post-crash frames land in the fresh sealed epoch, undamaged. *)
       Flight.emit (Flight.Note "after");
-      Alcotest.(check int) "recording continues" 5
-        (List.length (Flight.scan ()).Flight.frames))
+      Alcotest.(check (pair int int)) "recording continues" (1, 5)
+        (count_frames (Flight.scan ())))
+
+let event = Alcotest.testable Flight.pp_event ( = )
+
+let test_crash_gate_order () =
+  (* Each crash tears its [drop] off the frames before it, seals the
+     epoch, and only then stamps its marker: markers arrive whole, in
+     crash order, and say whether bytes were lost. *)
+  with_flight (fun () ->
+      let note s = Flight.emit (Flight.Note s) in
+      note "a1";
+      note "a2";
+      Flight.crash 1;
+      note "b1";
+      note "b2";
+      Flight.crash ~drop:2 2;
+      note "c1";
+      let scan = Flight.scan () in
+      Alcotest.(check (list event)) "tear, then marker"
+        Flight.
+          [
+            Note "a1";
+            Note "a2";
+            Crash { crash = 1; torn = false };
+            Note "b1";
+            Crash { crash = 2; torn = true };
+            Note "c1";
+          ]
+        (List.map (fun f -> f.Flight.event) scan.Flight.frames);
+      Alcotest.(check int) "one segment per epoch" 3 scan.Flight.segments_used;
+      Alcotest.(check int) "only the torn crash's segment" 1 scan.Flight.torn_segments)
+
+let test_disabled_records_nothing () =
+  (* With the recorder off, [emit] and the crash gate touch nothing: no
+     frame lands, and the frames already recorded are not torn. *)
+  with_flight (fun () ->
+      for i = 1 to 3 do
+        Flight.emit (Flight.Note (Printf.sprintf "n%d" i))
+      done;
+      Flight.set_enabled false;
+      Flight.emit (Flight.Note "off");
+      Flight.crash ~drop:3 1;
+      Flight.set_enabled true;
+      let scan = Flight.scan () in
+      Alcotest.(check (pair int int)) "no marker, no note" (0, 3) (count_frames scan);
+      Alcotest.(check int) "nothing torn" 0 scan.Flight.torn_segments)
 
 let test_ring_rotation () =
   (* A tiny two-segment ring under a long run: old frames are dropped
@@ -128,12 +184,33 @@ let test_event_codec () =
             true (sent = f.Flight.event))
         all_events scan.Flight.frames)
 
+let test_frame_json () =
+  (* [redo stats --format json] prints one [frame_to_json] object per
+     frame: event, seq, domain and ts_ns first, then the event's
+     attributes as JSON literals. *)
+  let json seq event = Flight.frame_to_json { Flight.seq; domain = 1; ts_ns = 2500; event } in
+  Alcotest.(check string) "crash frame"
+    {|{"event": "flight.crash", "seq": 4, "domain": 1, "ts_ns": 2500, "crash": 2, "torn": true}|}
+    (json 4 (Flight.Crash { crash = 2; torn = true }));
+  Alcotest.(check string) "quoted note"
+    {|{"event": "flight.note", "seq": 9, "domain": 1, "ts_ns": 2500, "note": "say \"hi\""}|}
+    (json 9 (Flight.Note {|say "hi"|}));
+  List.iter
+    (fun e ->
+      let prefix = Printf.sprintf {|{"event": "%s", "seq": 1, |} (Flight.event_name e) in
+      let s = json 1 e in
+      Alcotest.(check string)
+        (Flight.event_name e ^ " leads with the schema keys")
+        prefix
+        (String.sub s 0 (min (String.length s) (String.length prefix))))
+    all_events
+
 let test_save_load () =
   (* The dump file reloads into the same frames in a process that never
      saw the recorder — the triage-from-dump path. *)
   with_flight (fun () ->
       List.iter Flight.emit all_events;
-      Flight.crash ~drop:2 ();
+      Flight.crash ~drop:2 1;
       let before = Flight.scan () in
       let file = Filename.temp_file "flight" ".bin" in
       Fun.protect
@@ -173,10 +250,9 @@ let test_triage_torn_group_force () =
               let lsn = Log_manager.append log (payload (barriered + i)) in
               Log_manager.force_async log ~upto:lsn)
         in
-        (* The crash gate: tear the recorder's own medium by the same
-           drop, seal, stamp the crash marker — then tear the WAL. *)
-        Flight.crash ~drop ();
-        Flight.emit (Flight.Crash { crash = 1; torn = drop > 0 });
+        (* The crash gate tears the recorder's own medium by the same
+           drop — then the WAL is torn. *)
+        Flight.crash ~drop 1;
         Log_manager.crash_torn log ~drop;
         let report =
           Redo_sim.Simulator.(
@@ -216,9 +292,9 @@ let test_triage_torn_group_force () =
   Alcotest.(check int) "whole segment torn: nothing observed" 0 (run ~drop:10_000)
 
 let test_simulator_flight () =
-  (* A full simulator run with the recorder on: torn crashes leave
-     torn=true Crash frames, recovery phases are recorded, and the run
-     itself stays clean. *)
+  (* A full simulator run with the recorder on: every crash leaves its
+     marker, recovery phases are recorded, and the run itself stays
+     clean. *)
   with_flight ~segments:8 (fun () ->
       let cfg =
         {
@@ -237,14 +313,20 @@ let test_simulator_flight () =
         (outcome.Redo_sim.Simulator.crashes >= 2);
       let scan = Flight.scan () in
       let events = List.map (fun f -> f.Flight.event) scan.Flight.frames in
-      let crashes =
-        List.filter (function Flight.Crash _ -> true | _ -> false) events
+      let markers =
+        List.filter_map
+          (function Flight.Crash { crash; torn } -> Some (crash, torn) | _ -> None)
+          events
       in
-      (* Each torn crash chops its own Crash frame's tail bytes, so the
-         markers that survive whole are the earlier crashes' — at least
-         one for crashes >= 2, and every survivor says torn=true. *)
-      Alcotest.(check bool) "a torn Crash frame survived" true
-        (List.exists (function Flight.Crash { torn; _ } -> torn | _ -> false) crashes);
+      (* The gate stamps each marker after its tear, so every crash
+         leaves one, in order. Every crash mid-run is torn
+         ([torn_write_prob] is 1); the final crash after the last sync is
+         clean. *)
+      let crashes = outcome.Redo_sim.Simulator.crashes in
+      Alcotest.(check int) "nothing dropped by the ring" 0 scan.Flight.dropped_frames;
+      Alcotest.(check (list (pair int bool))) "one marker per crash, torn where torn"
+        (List.init crashes (fun i -> i + 1, i + 1 < crashes))
+        markers;
       Alcotest.(check bool) "recovery phases recorded" true
         (List.exists
            (function Flight.Phase { name = "sim.redo"; _ } -> true | _ -> false)
@@ -261,4 +343,8 @@ let suite =
       test_triage_torn_group_force;
     Alcotest.test_case "simulator run leaves a readable flight" `Quick
       test_simulator_flight;
+    Alcotest.test_case "crash gate: tear, seal, then marker" `Quick test_crash_gate_order;
+    Alcotest.test_case "disabled recorder records nothing" `Quick
+      test_disabled_records_nothing;
+    Alcotest.test_case "frame json schema" `Quick test_frame_json;
   ]

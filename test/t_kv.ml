@@ -103,6 +103,32 @@ let prop_zipf_workload_recovers seed =
   Store.recover store;
   Store.dump store = Redo_workload.Kv_trace.apply_to_assoc trace
 
+let test_crash_flight_marker () =
+  (* The store facade models a plain process kill: each crash stamps one
+     clean marker, numbered by the recoveries so far. *)
+  let module Flight = Redo_obs.Flight in
+  Flight.reset ();
+  Flight.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Flight.set_enabled false;
+      Flight.reset ())
+  @@ fun () ->
+  let store = Store.create Store.Physiological in
+  for _ = 1 to 2 do
+    Store.put store "k" "v";
+    Store.sync store;
+    Store.crash store;
+    Store.recover store
+  done;
+  Alcotest.(check (list (pair int bool))) "clean markers, in order"
+    [ 1, false; 2, false ]
+    (List.filter_map
+       (fun f ->
+         match f.Flight.event with
+         | Flight.Crash { crash; torn } -> Some (crash, torn)
+         | _ -> None)
+       (Flight.scan ()).Flight.frames)
+
 let suite =
   [
     Alcotest.test_case "basic operations" `Quick test_basic;
@@ -112,4 +138,5 @@ let suite =
     Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
     Alcotest.test_case "durable ops horizon" `Quick test_durable_ops_horizon;
     Util.qtest ~count:40 "zipf workload recovers exactly" prop_zipf_workload_recovers;
+    Alcotest.test_case "crash stamps a clean flight marker" `Quick test_crash_flight_marker;
   ]

@@ -1,8 +1,6 @@
 (* The observability layer: metrics registry semantics (counters,
-   gauges, histogram buckets and percentiles), the trace-event sinks
-   (ring-buffer ordering/wraparound, the null sink recording nothing),
-   and the multi-domain guarantees — atomic counters and a race-free
-   [Trace.emit] under concurrent emitters. *)
+   gauges, histogram buckets and percentiles) and the multi-domain
+   guarantee of atomic counters. *)
 
 open Redo_obs
 
@@ -60,73 +58,6 @@ let test_histogram_percentiles () =
     (Metrics.percentile h 100.);
   Alcotest.(check (float 1e-6)) "histogram mean" ((2.5 *. 100. +. 100.) /. 101.)
     (Metrics.mean h)
-
-let with_sink sink f =
-  Fun.protect ~finally:(fun () -> Trace.set_sink Trace.Null) (fun () ->
-      Trace.set_sink sink;
-      f ())
-
-let test_ring_ordering_and_wraparound () =
-  let ring = Trace.make_ring ~capacity:4 in
-  with_sink (Trace.Ring ring) (fun () ->
-      Alcotest.(check bool) "enabled under a real sink" true (Trace.enabled ());
-      for i = 1 to 6 do
-        Trace.emit "tick" [ "i", Trace.Int i ]
-      done);
-  Alcotest.(check int) "all six offered" 6 (Trace.ring_seen ring);
-  let events = Trace.ring_events ring in
-  Alcotest.(check int) "capacity retained" 4 (List.length events);
-  Alcotest.(check (list int)) "oldest evicted, order preserved" [ 3; 4; 5; 6 ]
-    (List.map
-       (fun (e : Trace.event) ->
-         match e.Trace.fields with [ ("i", Trace.Int i) ] -> i | _ -> -1)
-       events);
-  let seqs = List.map (fun (e : Trace.event) -> e.Trace.seq) events in
-  Alcotest.(check bool) "seq strictly increasing" true
-    (List.for_all2 (fun a b -> a < b) seqs (List.tl seqs @ [ max_int ]))
-
-let test_null_sink_records_nothing () =
-  let ring = Trace.make_ring ~capacity:4 in
-  (* Default sink is Null: emitting must be a no-op... *)
-  Alcotest.(check bool) "disabled by default" false (Trace.enabled ());
-  Trace.emit "dropped" [ "x", Trace.Int 1 ];
-  with_sink (Trace.Ring ring) (fun () -> Trace.emit "kept" []);
-  (* ...and must not have advanced the sequence or touched any buffer. *)
-  Trace.emit "dropped-again" [];
-  Alcotest.(check int) "ring saw only the enabled emit" 1 (Trace.ring_seen ring);
-  match Trace.ring_events ring with
-  | [ e ] -> Alcotest.(check string) "the kept event" "kept" e.Trace.name
-  | l -> Alcotest.failf "expected exactly one event, got %d" (List.length l)
-
-(* Four domains hammering one ring sink: every emit must land (none
-   dropped, none double-counted), sequence numbers must stay unique, and
-   the ring must still hold exactly its capacity. Exercises both the
-   atomic sequence counter and the mutex around ring delivery. *)
-let test_emit_from_many_domains () =
-  let per_domain = 500 in
-  let ring = Trace.make_ring ~capacity:64 in
-  with_sink (Trace.Ring ring) (fun () ->
-      let emitters =
-        List.init 4 (fun d ->
-            Domain.spawn (fun () ->
-                for i = 1 to per_domain do
-                  Trace.emit "tick" [ "d", Trace.Int d; "i", Trace.Int i ]
-                done))
-      in
-      List.iter Domain.join emitters);
-  Alcotest.(check int) "every emit counted exactly once" (4 * per_domain)
-    (Trace.ring_seen ring);
-  let events = Trace.ring_events ring in
-  Alcotest.(check int) "capacity retained" 64 (List.length events);
-  let seqs = List.map (fun (e : Trace.event) -> e.Trace.seq) events in
-  Alcotest.(check int) "sequence numbers unique across domains" 64
-    (List.length (List.sort_uniq compare seqs));
-  (* The sequence counter is process-global, so the absolute values
-     depend on earlier tests; the 64 survivors must still come from this
-     test's contiguous block of 4 * per_domain assignments. *)
-  let lo = List.fold_left min max_int seqs and hi = List.fold_left max 0 seqs in
-  Alcotest.(check bool) "seqs from one contiguous assignment block" true
-    (hi - lo < 4 * per_domain)
 
 let test_counter_from_many_domains () =
   let r = Metrics.create () in
@@ -273,12 +204,8 @@ let suite =
     Alcotest.test_case "gauge semantics" `Quick test_gauge_semantics;
     Alcotest.test_case "histogram bucket boundaries" `Quick test_histogram_buckets;
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
-    Alcotest.test_case "ring sink ordering and wraparound" `Quick
-      test_ring_ordering_and_wraparound;
-    Alcotest.test_case "null sink records nothing" `Quick test_null_sink_records_nothing;
     Alcotest.test_case "snapshot and json" `Quick test_snapshot_and_json;
     Alcotest.test_case "counter diff" `Quick test_counter_diff;
-    Alcotest.test_case "emit from many domains" `Quick test_emit_from_many_domains;
     Alcotest.test_case "counter from many domains" `Quick test_counter_from_many_domains;
     Alcotest.test_case "parallel recovery counters exact" `Quick
       test_parallel_recovery_counters_exact;

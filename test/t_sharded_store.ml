@@ -1,6 +1,7 @@
 (* The sharded KV service: randomized crash-recovery fuzz at shard
    counts 1, 2 and 4 (100 runs each), plus a flight-recorder triage
-   audit of the staged-commit claims after a torn crash.
+   audit of the staged-commit claims after a torn crash and a check of
+   the crash markers every crash stamps.
 
    Each fuzz run drives random Zipf traffic through the worker domains,
    crashes at a random point (sometimes torn), checks the Recovery
@@ -199,6 +200,37 @@ let test_triage_staged_claims () =
   let cert = Sharded_store.certify store ~phase:`Recovered in
   Alcotest.(check bool) "recovered certified" true (Theory_check.certificate_ok cert)
 
+let test_crash_markers () =
+  (* Every crash runs the recorder's crash gate: one marker per crash,
+     numbered by the store's crash count, torn exactly when bytes were
+     dropped. *)
+  with_flight @@ fun () ->
+  let store = Sharded_store.create ~shards:2 ~partitions:8 () in
+  Fun.protect ~finally:(fun () -> Sharded_store.close store) @@ fun () ->
+  List.iter
+    (fun crash ->
+      Sharded_store.put store "k" "v";
+      Sharded_store.sync store;
+      crash store;
+      ignore (Sharded_store.recover store))
+    [
+      Sharded_store.crash;
+      (fun s -> Sharded_store.crash_torn s ~drop:3);
+      (fun s -> Sharded_store.crash_torn s ~drop:0);
+    ];
+  let markers =
+    List.filter_map
+      (fun f ->
+        match f.Flight.event with
+        | Flight.Crash { crash; torn } -> Some (crash, torn)
+        | _ -> None)
+      (Flight.scan ()).Flight.frames
+  in
+  Alcotest.(check (list (pair int bool))) "one marker per crash"
+    [ 1, false; 2, true; 3, false ]
+    markers;
+  Alcotest.(check int) "crashes counted" 3 (Sharded_store.stats store).Sharded_store.crashes
+
 (* ---- basic unit coverage ------------------------------------------- *)
 
 let test_basics () =
@@ -240,4 +272,5 @@ let suite =
     Util.qtest "fuzz: 1 shard" (fuzz ~shards:1);
     Util.qtest "fuzz: 2 shards" (fuzz ~shards:2);
     Util.qtest "fuzz: 4 shards" (fuzz ~shards:4);
+    Alcotest.test_case "crash gate stamps one marker per crash" `Quick test_crash_markers;
   ]

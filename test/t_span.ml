@@ -68,6 +68,21 @@ let test_disabled_records_nothing () =
   Span.note [ "k", Span.Int 1 ];
   Alcotest.(check int) "nothing recorded" 0 (List.length (Span.collect ()))
 
+let test_json_value () =
+  (* One printer turns every attribute value, span or flight frame, into
+     a JSON literal; floats keep enough digits to read back exactly. *)
+  List.iter
+    (fun (v, lit) -> Alcotest.(check string) lit lit (Span.json_value v))
+    [
+      Span.Int 42, "42";
+      Span.Int (-7), "-7";
+      Span.Bool false, "false";
+      Span.Float 2.25, "2.25";
+      Span.String {|page "7"|}, {|"page \"7\""|};
+    ];
+  Alcotest.(check (float 0.)) "float reads back exactly" (1. /. 3.)
+    (float_of_string (Span.json_value (Span.Float (1. /. 3.))))
+
 let test_multi_domain_collect () =
   let spans =
     collect_after (fun () ->
@@ -303,4 +318,5 @@ let suite =
     Alcotest.test_case "chrome trace export" `Quick test_chrome_trace_export;
     Alcotest.test_case "critical path accounts for recovery wall-clock" `Quick
       test_accounts_for_recovery_wallclock;
+    Alcotest.test_case "json value literals" `Quick test_json_value;
   ]
