@@ -332,7 +332,8 @@ let emit_json ~file rows =
   List.iteri
     (fun i (bench, n, domains, total_ns, counters, profile) ->
       let metrics =
-        List.map (fun (name, v) -> Printf.sprintf "%S: %d" name v) counters
+        List.map (fun (name, v) -> Printf.sprintf "%s: %d" (Redo_obs.Span.json_string name) v)
+          counters
         |> String.concat ", "
       in
       let profile =
@@ -341,9 +342,10 @@ let emit_json ~file rows =
         | Some json -> Printf.sprintf ", \"profile\": %s" json
       in
       Printf.fprintf oc
-        "{\"bench\": %S, \"n\": %d, \"domains\": %d, \"cores\": %d, \"ns_per_op\": %.1f, \
+        "{\"bench\": %s, \"n\": %d, \"domains\": %d, \"cores\": %d, \"ns_per_op\": %.1f, \
          \"metrics\": {%s}%s}%s\n"
-        bench n domains
+        (Redo_obs.Span.json_string bench)
+        n domains
         (Domain.recommended_domain_count ())
         (total_ns /. float n) metrics profile
         (if i = last then "" else ","))
@@ -369,8 +371,8 @@ let profile_recovery run =
     let cp =
       List.map
         (fun r ->
-          Printf.sprintf "{\"span\": %S, \"count\": %d, \"self_ns\": %.0f}" r.Profile.r_name
-            r.Profile.r_count r.Profile.r_self_ns)
+          Printf.sprintf "{\"span\": %s, \"count\": %d, \"self_ns\": %.0f}"
+            (Span.json_string r.Profile.r_name) r.Profile.r_count r.Profile.r_self_ns)
         rows
       |> String.concat ", "
     in

@@ -3,19 +3,20 @@
    redo demo                 - the paper's scenarios, explained
    redo graphs [-o DIR]      - dot files for the paper's figures
    redo sim -m METHOD ...    - crash-recovery simulation, theory-checked
+                               (--crash-every 0: one crash at the end)
    redo torture ...          - many seeds x all methods
-   redo check -m METHOD ...  - run a workload, crash, print the invariant report
+   redo faults ...           - broken variants vs the recovery checker
    redo stats ...            - run a crashing workload, dump the metrics registry
                                and the flight recorder's tail
    redo profile -m METHOD .. - span-profile the recoveries: critical path,
                                shard imbalance, optional Chrome trace
+   redo triage ...           - tear a group-committed crash and diagnose it
+                               from the flight recorder and the stable log
    redo serve-bench ...      - drive the sharded KV service with Zipf
-                               traffic; optional certification + triage
-   redo lat ...              - trace end-to-end op latency through the
-                               service: stage percentiles, tail
-                               attribution, sampled full traces
+                               traffic; optional certification, triage
+                               and end-to-end latency tracing (--lat)
 
-   sim, torture and check also take --metrics [pretty|json] to dump the
+   sim and torture also take --metrics [pretty|json] to dump the
    process-wide metrics registry after the run, and --chrome-trace FILE
    to record the run's span tree as Chrome trace_event JSON. *)
 
@@ -137,34 +138,26 @@ let chrome_trace_arg =
           "Record the run's span tree and write it as Chrome trace_event JSON to $(docv) \
            (loadable in Perfetto or chrome://tracing; one track per domain).")
 
-let write_chrome_trace file spans =
-  let oc = open_out file in
-  output_string oc (Redo_obs.Span.chrome_json spans);
-  close_out oc;
-  Fmt.pr "wrote %d spans to %s@." (List.length spans) file
-
 let write_text_file file contents =
   let oc = open_out file in
   output_string oc contents;
   close_out oc
 
-(* Enable span recording around [run]; write the Chrome trace if a file
-   was asked for, and hand the collected spans to [after]. *)
-let with_spans ?(after = fun _ -> ()) chrome_trace run =
-  let wanted = chrome_trace <> None in
-  if wanted then begin
+let write_chrome_trace file spans =
+  write_text_file file (Redo_obs.Span.chrome_json spans);
+  Fmt.pr "wrote %d spans to %s@." (List.length spans) file
+
+(* Enable span recording around [run] and write the Chrome trace if a
+   file was asked for. *)
+let with_spans chrome_trace run =
+  match chrome_trace with
+  | None -> run ()
+  | Some file ->
     Redo_obs.Span.reset ();
-    Redo_obs.Span.set_enabled true
-  end;
-  let code =
-    Fun.protect ~finally:(fun () -> Redo_obs.Span.set_enabled false) run
-  in
-  if wanted then begin
-    let spans = Redo_obs.Span.collect () in
-    Option.iter (fun file -> write_chrome_trace file spans) chrome_trace;
-    after spans
-  end;
-  code
+    Redo_obs.Span.set_enabled true;
+    let code = Fun.protect ~finally:(fun () -> Redo_obs.Span.set_enabled false) run in
+    write_chrome_trace file (Redo_obs.Span.collect ());
+    code
 
 (* --- demo --- *)
 
@@ -197,9 +190,7 @@ let graphs dir =
   let open Redo_core in
   let write name contents =
     let path = Filename.concat dir (name ^ ".dot") in
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
+    write_text_file path contents;
     Fmt.pr "wrote %s@." path
   in
   (match Sys.is_directory dir with
@@ -333,45 +324,6 @@ let faults seeds =
       if !detections = 0 then all_detected := false)
     Redo_methods.Registry.faults;
   if !all_detected then 0 else 1
-
-(* --- check --- *)
-
-let check method_name seed ops partitions cache domains group_commit metrics chrome_trace =
-  with_metrics metrics @@ fun () ->
-  with_spans chrome_trace @@ fun () ->
-  let store_method =
-    match method_name with
-    | "logical" -> Redo_kv.Store.Logical
-    | "physical" -> Redo_kv.Store.Physical
-    | "physiological" -> Redo_kv.Store.Physiological
-    | "generalized" -> Redo_kv.Store.Generalized
-    | _ ->
-      Fmt.epr "unknown method %S@." method_name;
-      exit 2
-  in
-  let store = Redo_kv.Store.create ~cache_capacity:cache ~partitions store_method in
-  if group_commit then Redo_kv.Store.set_group_commit store true;
-  let rng = Random.State.make [| seed |] in
-  for i = 1 to ops do
-    let key = Printf.sprintf "k%04d" (Random.State.int rng 50) in
-    if Random.State.int rng 10 < 2 then Redo_kv.Store.delete store key
-    else Redo_kv.Store.put store key (Printf.sprintf "v%d" i);
-    if Random.State.int rng 20 = 0 then Redo_kv.Store.checkpoint store;
-    if Random.State.int rng 10 = 0 then Redo_kv.Store.sync store
-  done;
-  Redo_kv.Store.sync store;
-  Redo_kv.Store.crash store;
-  match Redo_kv.Store.verify_recovery_invariant ~domains store with
-  | Ok report ->
-    Fmt.pr "%a@." Redo_methods.Theory_check.pp_report report;
-    Redo_kv.Store.recover store;
-    Fmt.pr "recovered %d keys; stats: %a@."
-      (List.length (Redo_kv.Store.dump store))
-      Redo_kv.Store.pp_stats (Redo_kv.Store.stats store);
-    0
-  | Error msg ->
-    Fmt.pr "INVARIANT VIOLATION: %s@." msg;
-    1
 
 (* --- stats --- *)
 
@@ -551,16 +503,12 @@ let triage method_name seed ops partitions cache staged drop segments segment_by
       flight_dump;
     Option.iter
       (fun file ->
-        let oc = open_out file in
-        output_string oc (Triage.to_json report);
-        close_out oc;
+        write_text_file file (Triage.to_json report);
         Fmt.pr "wrote triage report JSON to %s@." file)
       report_json;
     Option.iter
       (fun file ->
-        let oc = open_out file in
-        output_string oc (Triage.chrome_json report);
-        close_out oc;
+        write_text_file file (Triage.chrome_json report);
         Fmt.pr "wrote flight timeline Chrome trace to %s@." file)
       chrome_trace;
     if json then print_endline (Triage.to_json report)
@@ -611,7 +559,10 @@ let triage method_name seed ops partitions cache staged drop segments segment_by
    check the Recovery Invariant when the run is small enough to
    project); with --triage, run the whole thing under the flight
    recorder, tear the final force, and audit the staged-commit claims
-   post-mortem. *)
+   post-mortem; with --lat, trace sampled operations end to end and
+   print the latency report, whose stage sums must cover >= 90% of
+   end-to-end latency (the bound that makes the telescoping stamps
+   falsifiable). *)
 let pp_ns ppf ns =
   if ns >= 1e9 then Fmt.pf ppf "%.2fs" (ns /. 1e9)
   else if ns >= 1e6 then Fmt.pf ppf "%.2fms" (ns /. 1e6)
@@ -619,7 +570,7 @@ let pp_ns ppf ns =
   else Fmt.pf ppf "%.0fns" ns
 
 let serve_bench shards ops keys theta partitions cache restart do_check do_triage drop do_lat
-    lat_jsonl lat_sample metrics =
+    lat_out lat_sample metrics =
   with_metrics metrics @@ fun () ->
   let module SS = Redo_kv.Sharded_store in
   let module Flight = Redo_obs.Flight in
@@ -628,13 +579,13 @@ let serve_bench shards ops keys theta partitions cache restart do_check do_triag
   let module Theory_check = Redo_methods.Theory_check in
   let partitions = if partitions > 0 then partitions else 32 * shards in
   let cache = if cache > 0 then cache else max 1 (partitions / shards) in
-  let trace_lat = do_lat || lat_jsonl <> None in
+  let do_lat = do_lat || lat_out <> None in
   if do_triage then begin
     Flight.reset ();
     Flight.configure ();
     Flight.set_enabled true
   end;
-  if trace_lat then begin
+  if do_lat then begin
     Oplat.reset ();
     Oplat.set_sample_every lat_sample;
     Oplat.set_enabled true
@@ -642,7 +593,7 @@ let serve_bench shards ops keys theta partitions cache restart do_check do_triag
   Fun.protect
     ~finally:(fun () ->
       if do_triage then Flight.set_enabled false;
-      if trace_lat then Oplat.set_enabled false)
+      if do_lat then Oplat.set_enabled false)
   @@ fun () ->
   let store = SS.create ~shards ~partitions ~cache_capacity:cache () in
   Fun.protect ~finally:(fun () -> SS.close store) @@ fun () ->
@@ -754,105 +705,23 @@ let serve_bench shards ops keys theta partitions cache restart do_check do_triag
     if do_check then check_cert "recovered" (SS.certify store ~phase:`Recovered)
   end;
   Fmt.pr "  stats: %a@." SS.pp_stats (SS.stats store);
-  if trace_lat then begin
+  if do_lat then begin
     let r = Oplat.report () in
-    if do_lat then begin
-      Fmt.pr "  lat: %d sampled (1 in %d), %d completed, coverage %.1f%%@." r.Oplat.r_sampled
-        lat_sample r.Oplat.r_completed
-        (100. *. r.Oplat.r_coverage);
-      Fmt.pr "  lat e2e: p50 %a p99 %a p999 %a max %a@." pp_ns r.Oplat.r_e2e.Oplat.sv_p50_ns
-        pp_ns r.Oplat.r_e2e.Oplat.sv_p99_ns pp_ns r.Oplat.r_e2e.Oplat.sv_p999_ns pp_ns
-        r.Oplat.r_e2e.Oplat.sv_max_ns;
-      List.iter
-        (fun sv ->
-          if sv.Oplat.sv_events > 0 then
-            Fmt.pr "  lat %-5s: p50 %a p99 %a (%d events)@." sv.Oplat.sv_name pp_ns
-              sv.Oplat.sv_p50_ns pp_ns sv.Oplat.sv_p99_ns sv.Oplat.sv_events)
-        r.Oplat.r_stages;
-      (match r.Oplat.r_tail with
-      | (stage, n) :: _ ->
-        Fmt.pr "  lat tail: beyond p%.0f (%a), %d ops, dominant stage %s (%d)@."
-          r.Oplat.r_tail_pct pp_ns r.Oplat.r_tail_threshold_ns r.Oplat.r_tail_total stage n
-      | [] -> ());
-      if r.Oplat.r_coverage < 0.9 && r.Oplat.r_completed > 0 then begin
-        Fmt.pr "  lat: COVERAGE BELOW 90%%@.";
-        incr failures
-      end
+    Fmt.pr "%a@." Oplat.pp r;
+    if r.Oplat.r_completed > 0 && r.Oplat.r_coverage < 0.9 then begin
+      Fmt.pr "lat: COVERAGE BELOW 90%%@.";
+      incr failures
     end;
     Option.iter
-      (fun file ->
-        write_text_file file (Oplat.timeseries_jsonl ());
-        Fmt.pr "  lat: wrote time series to %s@." file)
-      lat_jsonl
+      (fun prefix ->
+        write_text_file (prefix ^ ".jsonl") (Oplat.timeseries_jsonl ());
+        write_text_file (prefix ^ ".json") (Oplat.to_json r);
+        write_text_file (prefix ^ ".trace.json") (Oplat.chrome_json ());
+        Fmt.pr "lat: wrote %s.jsonl, %s.json and %s.trace.json (%d sampled traces)@." prefix
+          prefix prefix (Oplat.trace_count ()))
+      lat_out
   end;
   if !failures = 0 then 0 else 1
-
-(* --- lat --- *)
-
-(* Drive the sharded service with the latency tracer on and print the
-   full Oplat report: per-stage breakdown, tail attribution, dwell,
-   optional recovery-progress gauge (with --crash). The stage sums must
-   cover >= 90% of end-to-end latency or the command fails — that bound
-   is what makes the telescoping-stamp design falsifiable. *)
-let lat shards ops keys theta partitions cache sample tail_pct do_crash json jsonl chrome_trace =
-  let module SS = Redo_kv.Sharded_store in
-  let module Oplat = Redo_obs.Oplat in
-  let partitions = if partitions > 0 then partitions else 32 * shards in
-  let cache = if cache > 0 then cache else max 1 (partitions / shards) in
-  Oplat.reset ();
-  Oplat.set_sample_every sample;
-  Oplat.set_enabled true;
-  Fun.protect ~finally:(fun () -> Oplat.set_enabled false) @@ fun () ->
-  let store = SS.create ~shards ~partitions ~cache_capacity:cache () in
-  Fun.protect ~finally:(fun () -> SS.close store) @@ fun () ->
-  let zipf = Redo_workload.Zipf.create ~theta keys in
-  let rng = Random.State.make [| 0x09a7; shards; ops |] in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to ops do
-    let key = Redo_workload.Zipf.sample_key zipf rng in
-    if i mod 10 = 0 then SS.delete store key else SS.put store key (Printf.sprintf "v%d" i);
-    if i mod 512 = 0 then Redo_wal.Log_manager.await (SS.put_durable store key "commit");
-    if i mod (max 1 (ops / 4)) = 0 then ignore (SS.checkpoint_sharded store)
-  done;
-  SS.sync store;
-  let seconds = Unix.gettimeofday () -. t0 in
-  if do_crash then begin
-    (* The recovery-progress leg: crash (in-flight tickets are dropped,
-       not folded in), replay with the gauge live, then a short burst of
-       post-recovery traffic to stamp time-to-first-op. *)
-    SS.crash store;
-    let r = SS.recover store in
-    Fmt.pr "recovery: %d scanned, %d redone, %d skipped@." r.SS.scanned r.SS.redone r.SS.skipped;
-    for i = 1 to 200 do
-      SS.put store (Redo_workload.Zipf.sample_key zipf rng) (Printf.sprintf "r%d" i)
-    done;
-    SS.sync store
-  end;
-  let report = Oplat.report ~tail_pct () in
-  Option.iter
-    (fun file ->
-      write_text_file file (Oplat.timeseries_jsonl ());
-      if not json then Fmt.pr "wrote time series to %s@." file)
-    jsonl;
-  Option.iter
-    (fun file ->
-      write_text_file file (Oplat.chrome_json ());
-      if not json then Fmt.pr "wrote %d sampled traces to %s@." (Oplat.trace_count ()) file)
-    chrome_trace;
-  if json then print_endline (Oplat.to_json report)
-  else begin
-    Fmt.pr "lat: %d shards over %d partitions, %d ops in %.3fs (%.0f ops/s), 1-in-%d sampling@."
-      shards partitions ops seconds
-      (float ops /. seconds)
-      sample;
-    Fmt.pr "%a@." Oplat.pp report
-  end;
-  if report.Oplat.r_completed > 0 && report.Oplat.r_coverage < 0.9 then begin
-    Fmt.epr "lat: stage sums cover only %.1f%% of end-to-end latency (acceptance: >= 90%%)@."
-      (100. *. report.Oplat.r_coverage);
-    1
-  end
-  else 0
 
 (* --- command wiring --- *)
 
@@ -880,13 +749,6 @@ let torture_cmd =
     Term.(
       const torture $ seeds $ ops_arg $ domains_arg $ group_commit_arg $ metrics_arg
       $ chrome_trace_arg)
-
-let check_cmd =
-  Cmd.v
-    (Cmd.info "check" ~doc:"Run a workload, crash, and print the Recovery Invariant report")
-    Term.(
-      const check $ method_arg $ seed_arg $ ops_arg $ partitions_arg $ cache_arg $ domains_arg
-      $ group_commit_arg $ metrics_arg $ chrome_trace_arg)
 
 let stats_cmd =
   let format =
@@ -1043,101 +905,36 @@ let serve_bench_cmd =
       value & flag
       & info [ "lat" ]
           ~doc:
-            "Trace sampled operation latency end to end and print the stage breakdown \
-             (dwell/apply/stage/batch/force/ack percentiles, tail attribution) after the \
-             throughput report. Fails if the stage sums cover < 90% of end-to-end latency.")
+            "Trace sampled operation latency end to end and print the report after the \
+             throughput one: per-stage percentiles (mailbox dwell, shard apply, WAL stage, \
+             batch wait, force, stable ack), tail attribution by dominant stage, and with \
+             $(b,--check) the recovery-progress gauge. Fails if the stage sums cover < 90% \
+             of end-to-end latency.")
   in
-  let lat_jsonl =
+  let lat_out =
     Arg.(
       value & opt (some string) None
-      & info [ "lat-jsonl" ] ~docv:"FILE"
-          ~doc:"Write the tracer's wall-clock-bucketed latency time series to $(docv) as JSONL.")
+      & info [ "lat-out" ] ~docv:"PREFIX"
+          ~doc:
+            "Imply $(b,--lat) and also write $(docv).jsonl (the time series), $(docv).json \
+             (the report) and $(docv).trace.json (the sampled full traces as Chrome \
+             trace_event JSON).")
   in
   let lat_sample =
     Arg.(
       value & opt int 32
-      & info [ "lat-sample" ] ~docv:"N" ~doc:"Sample one operation in $(docv) for --lat.")
+      & info [ "lat-sample" ] ~docv:"N"
+          ~doc:"Sample one operation in $(docv) per posting domain for the latency tracer.")
   in
   Cmd.v
     (Cmd.info "serve-bench"
        ~doc:
          "Drive the sharded KV service (domain-per-shard workers, one group-committed WAL) \
           with Zipf traffic; report throughput and force coalescing, optionally certified \
-          through crash + recovery and triaged post-mortem")
+          through crash + recovery, triaged post-mortem and traced for end-to-end latency")
     Term.(
       const serve_bench $ shards $ ops $ keys $ theta $ partitions $ cache $ restart
-      $ do_check $ do_triage $ drop $ do_lat $ lat_jsonl $ lat_sample $ metrics_arg)
-
-let lat_cmd =
-  let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc:"Worker shard domains.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 50_000
-      & info [ "n"; "ops" ] ~docv:"N" ~doc:"Operations to drive through the service.")
-  in
-  let keys =
-    Arg.(value & opt int 10_000 & info [ "keys" ] ~docv:"N" ~doc:"Zipf key population.")
-  in
-  let theta =
-    Arg.(value & opt float 0.99 & info [ "theta" ] ~docv:"T" ~doc:"Zipf skew (0 = uniform).")
-  in
-  let partitions =
-    Arg.(
-      value & opt int 0
-      & info [ "p"; "partitions" ] ~docv:"P" ~doc:"Page partitions; 0 picks 32 per shard.")
-  in
-  let cache =
-    Arg.(
-      value & opt int 0
-      & info [ "cache" ] ~docv:"PAGES"
-          ~doc:"Per-shard cache capacity; 0 sizes it to the shard's page count.")
-  in
-  let sample =
-    Arg.(
-      value & opt int 8
-      & info [ "sample" ] ~docv:"N" ~doc:"Sample one operation in $(docv) per posting domain.")
-  in
-  let tail_pct =
-    Arg.(
-      value & opt float 99.
-      & info [ "tail-pct" ] ~docv:"P"
-          ~doc:"Attribute every op beyond this end-to-end percentile to its dominant stage.")
-  in
-  let do_crash =
-    Arg.(
-      value & flag
-      & info [ "crash" ]
-          ~doc:
-            "After the drive, crash and recover with the recovery-progress gauge live \
-             (per-shard replay cursors, time to first post-recovery op).")
-  in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Print the report as JSON.") in
-  let jsonl =
-    Arg.(
-      value & opt (some string) None
-      & info [ "jsonl" ] ~docv:"FILE"
-          ~doc:"Write the wall-clock-bucketed latency time series to $(docv) as JSONL.")
-  in
-  let chrome_trace =
-    Arg.(
-      value & opt (some string) None
-      & info [ "chrome-trace" ] ~docv:"FILE"
-          ~doc:
-            "Write the reservoir of sampled full traces as Chrome trace_event JSON to $(docv) \
-             (one op span per ticket on its shard's track, child spans per stage).")
-  in
-  Cmd.v
-    (Cmd.info "lat"
-       ~doc:
-         "Trace end-to-end operation latency through the sharded service: per-stage \
-          percentiles (mailbox dwell, shard apply, WAL stage, batch wait, force, stable \
-          ack), tail attribution by dominant stage, sampled full traces, optional \
-          crash-recovery progress gauge")
-    Term.(
-      const lat $ shards $ ops $ keys $ theta $ partitions $ cache $ sample $ tail_pct
-      $ do_crash $ json $ jsonl $ chrome_trace)
+      $ do_check $ do_triage $ drop $ do_lat $ lat_out $ lat_sample $ metrics_arg)
 
 let faults_cmd =
   let seeds = Arg.(value & opt int 8 & info [ "seeds" ] ~docv:"N" ~doc:"Seeds per variant.") in
@@ -1154,13 +951,11 @@ let main_cmd =
       graphs_cmd;
       sim_cmd;
       torture_cmd;
-      check_cmd;
       faults_cmd;
       stats_cmd;
       profile_cmd;
       triage_cmd;
       serve_bench_cmd;
-      lat_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

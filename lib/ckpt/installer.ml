@@ -10,19 +10,12 @@ let c_installs = Metrics.counter "ckpt.installs"
 let c_components = Metrics.counter "ckpt.components"
 let c_pages_installed = Metrics.counter "ckpt.pages_installed"
 let c_shard_records = Metrics.counter "ckpt.shard_records"
+
+(* The sharded KV service runs one [install] per shard-owner domain
+   concurrently, so both histograms are observed under
+   [Metrics.observe_locked]; counters are Atomics and need nothing. *)
 let h_install_ns = Metrics.histogram "ckpt.install_ns"
 let h_component_pages = Metrics.histogram ~bounds:Metrics.count_bounds "ckpt.component_pages"
-
-(* Histograms are single-writer instruments, but the sharded KV service
-   runs one [install] per shard-owner domain concurrently (each over its
-   own cache). This mutex restores the single-writer discipline for the
-   two shared histograms; counters are Atomics and need nothing. *)
-let h_mutex = Mutex.create ()
-
-let observe_locked h v =
-  Mutex.lock h_mutex;
-  Metrics.observe h v;
-  Mutex.unlock h_mutex
 
 type component = {
   pages : int list;
@@ -176,7 +169,7 @@ let plan cache =
 let write_batch disk comp = List.iter (fun (pid, page) -> Disk.write disk pid page) comp.batch
 
 let install_run ?pool ~domains ?before_install ~note cache log =
-  let t0 = Metrics.now_ns () in
+  let t0 = Span.now_ns () in
   let comps =
     if Span.enabled () then Span.span "ckpt.assemble" (fun () -> plan cache) else plan cache
   in
@@ -185,7 +178,9 @@ let install_run ?pool ~domains ?before_install ~note cache log =
   Metrics.incr c_installs;
   Metrics.add c_components total;
   Metrics.add c_pages_installed pages_installed;
-  List.iter (fun c -> observe_locked h_component_pages (float (List.length c.pages))) comps;
+  List.iter
+    (fun c -> Metrics.observe_locked h_component_pages (float (List.length c.pages)))
+    comps;
   if Span.enabled () then
     Span.note [ "components", Span.Int total; "pages", Span.Int pages_installed ];
   (* The write-ahead half of the protocol, once for the whole install:
@@ -303,7 +298,7 @@ let install_run ?pool ~domains ?before_install ~note cache log =
         done;
         match !first_error with Some e -> raise e | None -> ())
   end;
-  observe_locked h_install_ns (Metrics.now_ns () -. t0);
+  Metrics.observe_locked h_install_ns (Span.now_ns () -. t0);
   { components = total; pages_installed; records = List.rev !records }
 
 let install ?pool ?(domains = 1) ?before_install ?(note = "shard-ckpt") cache log =

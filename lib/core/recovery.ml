@@ -352,7 +352,7 @@ let recover ?(trace = false) ?sink ?(schedule = Log_order) ?(horizons = []) spec
     invalid_arg "Recovery.recover: ~sink would race across shards; use a shard_sink"
   | _ -> ());
   Metrics.incr c_runs;
-  let t0 = Metrics.now_ns () in
+  let t0 = Span.now_ns () in
   let checkpoint =
     if horizons = [] then checkpoint
     else begin
@@ -396,10 +396,10 @@ let recover ?(trace = false) ?sink ?(schedule = Log_order) ?(horizons = []) spec
           plan.Partition.shards
       in
       let r = replay_plan ~trace ~pool ~domains ~shard_sinks spec ~state ~log ~plan in
-      Metrics.observe h_par_run_ns (Metrics.now_ns () -. t0);
+      Metrics.observe h_par_run_ns (Span.now_ns () -. t0);
       r
   in
-  Metrics.observe h_run_ns (Metrics.now_ns () -. t0);
+  Metrics.observe h_run_ns (Span.now_ns () -. t0);
   result
 
 let succeeded ?universe ~log result =

@@ -127,15 +127,8 @@ let stats t =
 let log_bytes t =
   (Method_intf.instance_log_stats t.instance).Redo_wal.Log_manager.appended_bytes
 
-let verify_recovery_invariant ?domains t =
-  let pool =
-    match domains with
-    | Some d when d > 1 -> Some (Redo_par.Domain_pool.shared ~domains:d)
-    | _ -> None
-  in
-  let report =
-    Theory_check.check ?domains ?pool (Method_intf.instance_projection t.instance)
-  in
+let verify_recovery_invariant t =
+  let report = Theory_check.check (Method_intf.instance_projection t.instance) in
   match report.Theory_check.failure with
   | None -> Ok report
   | Some msg -> Error msg

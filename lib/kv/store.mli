@@ -74,8 +74,7 @@ val recover : t -> unit
 val durable_ops : t -> int
 (** Operations guaranteed to survive a crash right now. *)
 
-val verify_recovery_invariant :
-  ?domains:int -> t -> (Redo_methods.Theory_check.report, string) result
+val verify_recovery_invariant : t -> (Redo_methods.Theory_check.report, string) result
 (** Check the Recovery Invariant against the current stable state and
     stable log (most meaningful right after {!crash}). *)
 

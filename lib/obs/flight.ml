@@ -267,7 +267,6 @@ let enabled () = Atomic.get on
 let set_enabled v = Atomic.set on v
 
 let mutex = Mutex.create ()
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 let default_segments = 4
 let default_segment_bytes = 64 * 1024
@@ -282,7 +281,7 @@ let r =
     next_gen = 2;
     dropped = 0;
     rotations = 0;
-    t0_ns = now_ns ();
+    t0_ns = int_of_float (Span.now_ns ());
     seqs = Hashtbl.create 8;
     scratch = Buffer.create 256;
   }
@@ -308,7 +307,7 @@ let configure_locked ~segments ~segment_bytes () =
   r.next_gen <- 2;
   r.dropped <- 0;
   r.rotations <- 0;
-  r.t0_ns <- now_ns ();
+  r.t0_ns <- int_of_float (Span.now_ns ());
   Hashtbl.reset r.seqs
 
 let configure ?(segments = default_segments) ?(segment_bytes = default_segment_bytes) () =
@@ -347,7 +346,7 @@ let next_seq_locked domain =
 let append_locked event =
   let domain = (Domain.self () :> int) in
   let seq = next_seq_locked domain in
-  let ts_ns = now_ns () - r.t0_ns in
+  let ts_ns = int_of_float (Span.now_ns ()) - r.t0_ns in
   Buffer.clear r.scratch;
   encode_payload r.scratch { seq; domain; ts_ns; event };
   let payload = Buffer.contents r.scratch in
@@ -563,8 +562,8 @@ let pp_frame ppf f =
 let frame_to_json f =
   let attrs =
     event_attrs f.event
-    |> List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (Span.json_value v))
+    |> List.map (fun (k, v) -> Span.json_string k ^ ": " ^ Span.json_value v)
     |> String.concat ", "
   in
-  Printf.sprintf "{\"event\": %S, \"seq\": %d, \"domain\": %d, \"ts_ns\": %d, %s}"
-    (event_name f.event) f.seq f.domain f.ts_ns attrs
+  Printf.sprintf "{\"event\": %s, \"seq\": %d, \"domain\": %d, \"ts_ns\": %d, %s}"
+    (Span.json_string (event_name f.event)) f.seq f.domain f.ts_ns attrs

@@ -43,7 +43,9 @@ type event =
 
 type frame = { seq : int; domain : int; ts_ns : int; event : event }
 (** [seq] is monotone per domain (1, 2, 3, …); [ts_ns] is nanoseconds
-    since the recorder epoch ({!configure}/{!reset}). *)
+    on the monotonic clock ({!Span.now_ns}) since the recorder epoch
+    ({!configure}/{!reset}), so it never decreases along a domain's
+    [seq]. *)
 
 (** {1 Recording} *)
 

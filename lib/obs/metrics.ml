@@ -4,7 +4,9 @@
    multi-field updates would need a lock — under a single-writer rule:
    only the coordinating domain observes them. Recovery's parallel path
    honours this by accumulating per-shard tallies locally and flushing
-   from the coordinator after the join (see [Recovery.run_stats]). *)
+   from the coordinator after the join (see [Recovery.run_stats]); the
+   few histograms that shard-owner domains observe concurrently go
+   through [observe_locked]. *)
 type counter = { c_name : string; c_count : int Atomic.t }
 type gauge = { g_name : string; mutable g_level : float }
 
@@ -120,6 +122,13 @@ let observe h v =
   h.h_sum <- h.h_sum +. v;
   if v > h.h_max then h.h_max <- v
 
+let observe_mutex = Mutex.create ()
+
+let observe_locked h v =
+  Mutex.lock observe_mutex;
+  observe h v;
+  Mutex.unlock observe_mutex
+
 let events h = h.h_events
 let mean h = if h.h_events = 0 then 0. else h.h_sum /. float h.h_events
 let bucket_counts h = Array.copy h.buckets
@@ -170,11 +179,9 @@ let percentile_of_buckets ~bounds ~buckets ~events ~max:hmax p =
 let percentile_interp h p =
   percentile_of_buckets ~bounds:h.bounds ~buckets:h.buckets ~events:h.h_events ~max:h.h_max p
 
-let now_ns () = Unix.gettimeofday () *. 1e9
-
 let span h f =
-  let t0 = now_ns () in
-  Fun.protect ~finally:(fun () -> observe h (now_ns () -. t0)) f
+  let t0 = Span.now_ns () in
+  Fun.protect ~finally:(fun () -> observe h (Span.now_ns () -. t0)) f
 
 let reset ?(registry = default) () =
   Hashtbl.iter (fun _ c -> Atomic.set c.c_count 0) registry.counters;
@@ -265,13 +272,8 @@ let pp ppf s =
   end;
   Fmt.pf ppf "@]"
 
-(* %.17g round-trips any float; plain integers render without an
-   exponent for the common case. *)
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
-
 let to_json s =
+  let str = Span.json_string and num = Span.json_float in
   let buf = Buffer.create 1024 in
   let fields add l =
     List.iteri
@@ -281,21 +283,22 @@ let to_json s =
       l
   in
   Buffer.add_string buf "{\"counters\": {";
-  fields (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "%S: %d" name v)) s.counters;
+  fields
+    (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "%s: %d" (str name) v))
+    s.counters;
   Buffer.add_string buf "}, \"gauges\": {";
   fields
-    (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "%S: %s" name (json_float v)))
+    (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s" (str name) (num v)))
     s.gauges;
   Buffer.add_string buf "}, \"histograms\": {";
   fields
     (fun h ->
       Buffer.add_string buf
         (Printf.sprintf
-           "%S: {\"events\": %d, \"mean\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s, \
+           "%s: {\"events\": %d, \"mean\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s, \
             \"max\": %s, \"p50_interp\": %s, \"p90_interp\": %s, \"p99_interp\": %s}"
-           h.hv_name h.hv_events (json_float h.hv_mean) (json_float h.hv_p50)
-           (json_float h.hv_p90) (json_float h.hv_p99) (json_float h.hv_max)
-           (json_float h.hv_p50i) (json_float h.hv_p90i) (json_float h.hv_p99i)))
+           (str h.hv_name) h.hv_events (num h.hv_mean) (num h.hv_p50) (num h.hv_p90)
+           (num h.hv_p99) (num h.hv_max) (num h.hv_p50i) (num h.hv_p90i) (num h.hv_p99i)))
     s.histograms;
   Buffer.add_string buf "}}";
   Buffer.contents buf

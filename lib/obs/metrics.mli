@@ -27,7 +27,9 @@ type histogram
     whose upper bound is [>=] the value, or in the implicit overflow
     bucket past the last bound. Multi-field updates, so single-writer
     only, like gauges: parallel recovery accumulates per-shard tallies
-    locally and observes from the coordinating domain after the join. *)
+    locally and observes from the coordinating domain after the join,
+    and a histogram that several domains observe at once goes through
+    {!observe_locked} at every call site. *)
 
 type t
 (** A registry of named instruments. *)
@@ -74,6 +76,13 @@ val histogram : ?registry:t -> ?bounds:float array -> string -> histogram
     lookups of the same name. *)
 
 val observe : histogram -> float -> unit
+
+val observe_locked : histogram -> float -> unit
+(** {!observe} under one process-wide mutex, for histograms that
+    several domains observe concurrently (each shard owner's checkpoint
+    install, each owner's lazy-redo drains). Every observer of such a
+    histogram must use it. *)
+
 val events : histogram -> int
 val mean : histogram -> float
 
@@ -104,12 +113,9 @@ val percentile_of_buckets :
 
 (** {1 Spans} *)
 
-val now_ns : unit -> float
-(** Wall-clock nanoseconds from an arbitrary origin, for span timing. *)
-
 val span : histogram -> (unit -> 'a) -> 'a
-(** Time the thunk and [observe] the elapsed nanoseconds (also on
-    exception). *)
+(** Time the thunk on {!Span.now_ns} and [observe] the elapsed
+    nanoseconds (also on exception). *)
 
 (** {1 Reading} *)
 

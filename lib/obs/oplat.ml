@@ -182,11 +182,10 @@ let acc_key =
       Mutex.unlock accs_mutex;
       a)
 
-let now_ns = Metrics.now_ns
 let enabled () = Atomic.get on
 
 let set_enabled v =
-  if v && not (Atomic.get on) then Atomic.set ts_origin (now_ns ());
+  if v && not (Atomic.get on) then Atomic.set ts_origin (Span.now_ns ());
   Atomic.set on v
 
 let set_sample_every n =
@@ -210,7 +209,7 @@ let sample () =
       a.a_sampled <- a.a_sampled + 1;
       Some
         {
-          t_post = now_ns ();
+          t_post = Span.now_ns ();
           t_dequeue = 0.;
           t_apply = 0.;
           t_stage = 0.;
@@ -225,10 +224,10 @@ let sample () =
   end
 
 let stamp_dequeue tk ~shard =
-  tk.t_dequeue <- now_ns ();
+  tk.t_dequeue <- Span.now_ns ();
   tk.t_shard <- shard
 
-let stamp_apply tk = tk.t_apply <- now_ns ()
+let stamp_apply tk = tk.t_apply <- Span.now_ns ()
 
 (* ---- finalization into the current domain's accumulator ------------- *)
 
@@ -300,7 +299,7 @@ let wal_staged ~lsn =
   if Atomic.get on then begin
     Mutex.lock infl_mutex;
     (match Hashtbl.find_opt inflight lsn with
-    | Some tk when tk.t_stage = 0. -> tk.t_stage <- now_ns ()
+    | Some tk when tk.t_stage = 0. -> tk.t_stage <- Span.now_ns ()
     | _ -> ());
     Mutex.unlock infl_mutex
   end
@@ -308,7 +307,7 @@ let wal_staged ~lsn =
 let batch_admitted ~upto =
   if Atomic.get on then begin
     Mutex.lock infl_mutex;
-    let t = now_ns () in
+    let t = Span.now_ns () in
     Hashtbl.iter
       (fun lsn tk -> if lsn <= upto && tk.t_batch = 0. then tk.t_batch <- t)
       inflight;
@@ -319,7 +318,7 @@ let batch_admitted ~upto =
    tickets complete at the force, durable ones wait for their ack. *)
 let complete ~upto ~ack =
   Mutex.lock infl_mutex;
-  let t = now_ns () in
+  let t = Span.now_ns () in
   let finished = ref [] in
   Hashtbl.iter
     (fun lsn tk ->
@@ -419,7 +418,7 @@ let recovery_start ~shards =
   recovery_st :=
     Some
       {
-        rv_start = now_ns ();
+        rv_start = Span.now_ns ();
         rv_done = 0.;
         rv_replayed = Array.init shards (fun _ -> Atomic.make 0);
         rv_remaining = Array.init shards (fun _ -> Atomic.make 0);
@@ -452,12 +451,12 @@ let recovery_pending ~shard ~pages =
 
 let recovery_finished () =
   Mutex.lock rec_mutex;
-  (match !recovery_st with Some rv -> rv.rv_done <- now_ns () | None -> ());
+  (match !recovery_st with Some rv -> rv.rv_done <- Span.now_ns () | None -> ());
   Mutex.unlock rec_mutex
 
 let first_op () =
   if Atomic.get first_op_armed && Atomic.compare_and_set first_op_armed true false then begin
-    let now = now_ns () in
+    let now = Span.now_ns () in
     Atomic.set first_op_at now;
     Mutex.lock rec_mutex;
     (match !recovery_st with
@@ -494,7 +493,7 @@ let reset () =
   Mutex.unlock rec_mutex;
   Atomic.set first_op_armed false;
   Atomic.set first_op_at 0.;
-  Atomic.set ts_origin (now_ns ())
+  Atomic.set ts_origin (Span.now_ns ())
 
 (* ---- reporting ------------------------------------------------------- *)
 
@@ -575,7 +574,7 @@ let recovery_report () =
       let fo = Atomic.get first_op_at in
       Some
         {
-          rv_elapsed_ns = (if finished then rv.rv_done else now_ns ()) -. rv.rv_start;
+          rv_elapsed_ns = (if finished then rv.rv_done else Span.now_ns ()) -. rv.rv_start;
           rv_finished = finished;
           rv_first_op_ns = (if fo > 0. then Some (fo -. rv.rv_start) else None);
           rv_shards =
@@ -594,7 +593,10 @@ let recovery_report () =
   Mutex.unlock rec_mutex;
   v
 
-let report ?(tail_pct = 99.) () =
+(* Tail attribution covers the ops beyond the end-to-end p99. *)
+let tail_pct = 99.
+
+let report () =
   let accs_l = snapshot_accs () in
   let stage_h = Array.init n_stages (fun _ -> new_hist ()) in
   let e2e_h = new_hist () and dwell_h = new_hist () in
@@ -717,17 +719,13 @@ let pp ppf r =
       rv.rv_shards);
   Fmt.pf ppf "@]"
 
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
-
 let stage_json sv =
+  let num = Span.json_float in
   Printf.sprintf
     "{\"events\": %d, \"mean_ns\": %s, \"p50_ns\": %s, \"p99_ns\": %s, \"p999_ns\": %s, \
      \"max_ns\": %s, \"sum_ns\": %s}"
-    sv.sv_events (json_float sv.sv_mean_ns) (json_float sv.sv_p50_ns)
-    (json_float sv.sv_p99_ns) (json_float sv.sv_p999_ns) (json_float sv.sv_max_ns)
-    (json_float sv.sv_sum_ns)
+    sv.sv_events (num sv.sv_mean_ns) (num sv.sv_p50_ns) (num sv.sv_p99_ns)
+    (num sv.sv_p999_ns) (num sv.sv_max_ns) (num sv.sv_sum_ns)
 
 let to_json r =
   let buf = Buffer.create 1024 in
@@ -735,25 +733,25 @@ let to_json r =
   add
     (Printf.sprintf "{\"sampled\": %d, \"completed\": %d, \"dropped\": %d" r.r_sampled
        r.r_completed r.r_dropped);
-  add (Printf.sprintf ", \"coverage\": %s" (json_float r.r_coverage));
+  add (Printf.sprintf ", \"coverage\": %s" (Span.json_float r.r_coverage));
   add (Printf.sprintf ", \"e2e\": %s" (stage_json r.r_e2e));
   add ", \"stages\": {";
   List.iteri
     (fun i sv ->
       if i > 0 then add ", ";
-      add (Printf.sprintf "%S: %s" sv.sv_name (stage_json sv)))
+      add (Printf.sprintf "%s: %s" (Span.json_string sv.sv_name) (stage_json sv)))
     r.r_stages;
   add "}";
   add (Printf.sprintf ", \"mailbox_dwell\": %s" (stage_json r.r_dwell));
   add
     (Printf.sprintf ", \"tail\": {\"pct\": %s, \"threshold_ns\": %s, \"total\": %d, \"by_stage\": {"
-       (json_float r.r_tail_pct)
-       (json_float r.r_tail_threshold_ns)
+       (Span.json_float r.r_tail_pct)
+       (Span.json_float r.r_tail_threshold_ns)
        r.r_tail_total);
   List.iteri
     (fun i (name, c) ->
       if i > 0 then add ", ";
-      add (Printf.sprintf "%S: %d" name c))
+      add (Printf.sprintf "%s: %d" (Span.json_string name) c))
     r.r_tail;
   add "}}";
   (match r.r_recovery with
@@ -763,8 +761,8 @@ let to_json r =
       (Printf.sprintf
          ", \"recovery\": {\"elapsed_ns\": %s, \"finished\": %b, \"first_op_ns\": %s, \
           \"shards\": ["
-         (json_float rv.rv_elapsed_ns) rv.rv_finished
-         (match rv.rv_first_op_ns with Some v -> json_float v | None -> "null"));
+         (Span.json_float rv.rv_elapsed_ns) rv.rv_finished
+         (match rv.rv_first_op_ns with Some v -> Span.json_float v | None -> "null"));
     List.iteri
       (fun i sp ->
         if i > 0 then add ", ";
@@ -810,15 +808,16 @@ let timeseries_jsonl () =
       let cell = Hashtbl.find tbl b in
       Buffer.add_string buf
         (Printf.sprintf "{\"t_ms\": %s, \"ops\": %d, \"mean_ns\": %s, \"max_ns\": %s"
-           (json_float (float b *. bucket_ms))
+           (Span.json_float (float b *. bucket_ms))
            cell.b_ops
-           (json_float (if cell.b_ops = 0 then 0. else cell.b_sum /. float cell.b_ops))
-           (json_float cell.b_max));
+           (Span.json_float (if cell.b_ops = 0 then 0. else cell.b_sum /. float cell.b_ops))
+           (Span.json_float cell.b_max));
       Buffer.add_string buf ", \"stages_ns\": {";
       Array.iteri
         (fun i v ->
           if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "%S: %s" stage_names.(i) (json_float v)))
+          Buffer.add_string buf
+            (Printf.sprintf "%s: %s" (Span.json_string stage_names.(i)) (Span.json_float v)))
         cell.b_stage;
       Buffer.add_string buf "}}\n")
     keys;

@@ -156,14 +156,15 @@ type report = {
   r_tail_threshold_ns : float;
   r_tail_total : int;
   r_tail : (string * int) list;
-      (** Ops beyond the [tail_pct] end-to-end bucket, split by dominant
-          stage, descending. *)
+      (** Ops beyond the [r_tail_pct] (99) end-to-end bucket, split by
+          dominant stage, descending. *)
   r_recovery : recovery_view option;
 }
 
-val report : ?tail_pct:float -> unit -> report
-(** Merge every domain's accumulator (default [tail_pct] 99). Take it
-    after a quiescent point (sync/drain) for exact counts. *)
+val report : unit -> report
+(** Merge every domain's accumulator; the tail is the ops beyond the
+    end-to-end p99. Take it after a quiescent point (sync/drain) for
+    exact counts. *)
 
 val pp : Format.formatter -> report -> unit
 val to_json : report -> string

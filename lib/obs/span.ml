@@ -6,10 +6,33 @@ let pp_value ppf = function
   | Float f -> Fmt.pf ppf "%g" f
   | Bool b -> Fmt.bool ppf b
 
+(* Each ill-formed UTF-8 sequence (a maximal subpart, as the stdlib
+   decoder reports it) becomes one U+FFFD. *)
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  let i = ref 0 in
+  while !i < String.length s do
+    let d = String.get_utf_8_uchar s !i in
+    let n = Uchar.utf_decode_length d in
+    (match s.[!i] with
+    | _ when not (Uchar.utf_decode_is_valid d) -> Buffer.add_string b "\\ufffd"
+    | ('"' | '\\') as c ->
+      Buffer.add_char b '\\';
+      Buffer.add_char b c
+    | c when c < ' ' -> Printf.bprintf b "\\u%04x" (Char.code c)
+    | _ -> Buffer.add_substring b s !i n);
+    i := !i + n
+  done;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let json_float f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
+
 let json_value = function
-  | String s -> Printf.sprintf "%S" s
+  | String s -> json_string s
   | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%.17g" f
+  | Float f -> json_float f
   | Bool b -> string_of_bool b
 
 type span = {
@@ -62,7 +85,9 @@ let buf_key =
 let enabled () = Atomic.get on
 let set_enabled v = Atomic.set on v
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+(* CLOCK_MONOTONIC; a float holds its nanoseconds exactly for the
+   first 104 days of uptime. *)
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 let reset () =
   Mutex.lock bufs_mutex;
@@ -207,14 +232,14 @@ let chrome_json spans =
       let args =
         (("span", Int s.id) :: (if s.parent = 0 then [] else [ "parent", Int s.parent ]))
         @ s.attrs
-        |> List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (json_value v))
+        |> List.map (fun (k, v) -> json_string k ^ ": " ^ json_value v)
         |> String.concat ", "
       in
       add
         (Printf.sprintf
-           "{\"name\": %S, \"cat\": \"redo\", \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, \
+           "{\"name\": %s, \"cat\": \"redo\", \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, \
             \"pid\": 1, \"tid\": %d, \"args\": {%s}}"
-           s.name
+           (json_string s.name)
            ((s.start_ns -. t0) /. 1e3)
            (duration_ns s /. 1e3)
            s.domain args))

@@ -20,8 +20,19 @@ type value = String of string | Int of int | Float of float | Bool of bool
 (** A typed attribute value: span attributes, and the fields of a
     {!Flight} frame when it is rendered. *)
 
+val json_string : string -> string
+(** [s] as a JSON string literal: valid UTF-8 passes through, the
+    double quote, the backslash and bytes below 0x20 are escaped, and
+    each ill-formed UTF-8 sequence becomes the escape [\\ufffd]. Every
+    JSON emitter in the program quotes its keys and strings with this. *)
+
+val json_float : float -> string
+(** [f] as a JSON number, printed [%.17g] (which round-trips), or
+    [null] when [f] is not finite. *)
+
 val json_value : value -> string
-(** The value as a JSON literal; strings are quoted. *)
+(** The value as a JSON literal, through {!json_string} or
+    {!json_float}. *)
 
 type span = {
   id : int;  (** Unique within a recording session, 1-based. *)
@@ -41,8 +52,10 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val now_ns : unit -> float
-(** Wall-clock nanoseconds on the span clock (same origin as span
-    timestamps), for deriving attribute durations like queue wait. *)
+(** Nanoseconds on the monotonic clock ([CLOCK_MONOTONIC], arbitrary
+    origin): the one clock behind span timestamps, {!Metrics.span} timings,
+    flight-recorder frames and latency-tracer stamps. Only differences
+    and offsets from an earlier reading mean anything. *)
 
 val reset : unit -> unit
 (** Drop every buffered span and open frame in every domain's buffer

@@ -359,10 +359,10 @@ let to_json r =
     (fun t ->
       add
         (Printf.sprintf
-           "{\"lsn\": %d, \"kind\": %S, \"claimed\": %b, \"survived\": %b, \"domain\": %d, \
+           "{\"lsn\": %d, \"kind\": %s, \"claimed\": %b, \"survived\": %b, \"domain\": %d, \
             \"ts_ns\": %d}"
            t.t_lsn
-           (match t.t_kind with Barrier -> "barrier" | Staged -> "staged")
+           (Span.json_string (match t.t_kind with Barrier -> "barrier" | Staged -> "staged"))
            t.t_claimed t.t_survived t.t_domain t.t_ts_ns))
     r.tickets;
   add ", \"shard_records\": ";
@@ -376,16 +376,19 @@ let to_json r =
            s.s_plan_agrees))
     r.shard_records;
   add ", \"phases\": ";
-  list (fun (name, crash) -> add (Printf.sprintf "{\"name\": %S, \"crash\": %d}" name crash)) r.phases;
+  list
+    (fun (name, crash) ->
+      add (Printf.sprintf "{\"name\": %s, \"crash\": %d}" (Span.json_string name) crash))
+    r.phases;
   add ", \"lazy_drains\": ";
   list
     (fun d ->
       add
         (Printf.sprintf
-           "{\"page\": %d, \"queue\": %d, \"trigger\": %S, \"pre_crash\": %b, \
+           "{\"page\": %d, \"queue\": %d, \"trigger\": %s, \"pre_crash\": %b, \
             \"domain\": %d, \"ts_ns\": %d}"
            d.ld_page d.ld_queue
-           (if d.ld_demand then "demand" else "sweeper")
+           (Span.json_string (if d.ld_demand then "demand" else "sweeper"))
            d.ld_pre_crash d.ld_domain d.ld_ts_ns))
     r.lazy_drains;
   add ", \"timeline\": ";

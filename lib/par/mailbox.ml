@@ -109,9 +109,9 @@ let post t task =
      cost is one Atomic load; a sampled post allocates one closure. *)
   let task =
     if Oplat.mailbox_sample () then begin
-      let t0 = Redo_obs.Metrics.now_ns () in
+      let t0 = Redo_obs.Span.now_ns () in
       fun () ->
-        Oplat.mailbox_dwell (Redo_obs.Metrics.now_ns () -. t0);
+        Oplat.mailbox_dwell (Redo_obs.Span.now_ns () -. t0);
         task ()
     end
     else task

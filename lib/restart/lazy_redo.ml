@@ -34,6 +34,8 @@ let c_demand = Metrics.counter "restart.demand_drains"
 let c_sweeper = Metrics.counter "restart.sweeper_drains"
 let c_preskipped = Metrics.counter "restart.preskipped_records"
 
+(* Observed by every shard owner's drains at once, hence under
+   [Metrics.observe_locked]. *)
 let h_queue_depth =
   Metrics.histogram ~bounds:Metrics.count_bounds "restart.lazy_queue_depth"
 
@@ -220,7 +222,7 @@ let ensure t ~pid ~trigger =
       | Sweeper ->
         Metrics.incr c_sweeper;
         Atomic.incr t.sweeper_drains);
-      Metrics.observe h_queue_depth (float n);
+      Metrics.observe_locked h_queue_depth (float n);
       if Flight.enabled () then
         Flight.emit (Flight.Lazy_drain { page = pid; queue = n; demand = trigger = Demand });
       ignore (Atomic.fetch_and_add t.pending_pages.(shard) (-1));

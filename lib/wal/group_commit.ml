@@ -117,7 +117,7 @@ let barrier_locked t lsn =
     if Lsn.(t.requested < lsn) then t.requested <- lsn;
     t.s_requests <- t.s_requests + 1;
     t.pending_barriers <- t.pending_barriers + 1;
-    let t0 = Metrics.now_ns () in
+    let t0 = Span.now_ns () in
     (match t.md with
     | Inline -> flush_locked t
     | Background ->
@@ -129,7 +129,7 @@ let barrier_locked t lsn =
          barrier — force directly. *)
       if not (stable_covers t lsn) then flush_locked t);
     t.pending_barriers <- t.pending_barriers - 1;
-    Metrics.observe h_wait_ns (Metrics.now_ns () -. t0);
+    Metrics.observe h_wait_ns (Span.now_ns () -. t0);
     (* The barrier is about to return: this waiter is being told
        "stable". Recorded after the force, so a surviving Commit frame
        that the stable log contradicts means a waiter was lied to. *)

@@ -135,7 +135,7 @@ let stable_len t = min (Lsn.to_int t.flushed) t.len
 
 let force_run t ~upto =
   Atomic.incr t.counters.a_forces;
-  let t0 = Metrics.now_ns () in
+  let t0 = Span.now_ns () in
   let first = Lsn.to_int t.flushed and last = Lsn.to_int upto in
   let bytes_before = Stable_log.byte_size t.medium in
   for i = first to last - 1 do
@@ -148,7 +148,7 @@ let force_run t ~upto =
   Metrics.add c_records_forced (last - first);
   Metrics.add c_bytes_written (stable_bytes - bytes_before);
   Metrics.observe h_records_per_force (float (last - first));
-  Metrics.observe h_force_ns (Metrics.now_ns () -. t0);
+  Metrics.observe h_force_ns (Span.now_ns () -. t0);
   (* Recorded after the medium write, so a surviving Force frame is a
      durable claim the triage pass can hold the stable log to. Frames
      are per-force, not per-append: append coverage at batch

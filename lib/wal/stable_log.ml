@@ -15,6 +15,7 @@
    decodes every frame in place, in the medium's own bytes. *)
 
 module Metrics = Redo_obs.Metrics
+module Span = Redo_obs.Span
 
 let c_frames = Metrics.counter "stable_log.frames_encoded"
 let c_scans = Metrics.counter "stable_log.scans"
@@ -79,7 +80,7 @@ type scan_result = {
    surviving records go to [push] in order. Returns where the
    trustworthy prefix ends and whether a torn tail follows it. *)
 let scan_frames t ~push =
-  let t0 = Metrics.now_ns () in
+  let t0 = Span.now_ns () in
   let data = t.data and len = t.len in
   let count = ref 0 in
   let rec go pos =
@@ -103,7 +104,7 @@ let scan_frames t ~push =
   Metrics.incr c_scans;
   Metrics.add c_scan_records !count;
   if cut then Metrics.incr c_torn_scans;
-  Metrics.observe h_scan_ns (Metrics.now_ns () -. t0);
+  Metrics.observe h_scan_ns (Span.now_ns () -. t0);
   end_pos, cut
 
 let scan t =

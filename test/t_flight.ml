@@ -195,6 +195,14 @@ let test_frame_json () =
   Alcotest.(check string) "quoted note"
     {|{"event": "flight.note", "seq": 9, "domain": 1, "ts_ns": 2500, "note": "say \"hi\""}|}
     (json 9 (Flight.Note {|say "hi"|}));
+  (* Note and phase strings can come from a dump file: whatever their
+     bytes, the frame stays valid JSON. *)
+  Alcotest.(check string) "non-ASCII, control and invalid bytes"
+    {|{"event": "flight.note", "seq": 2, "domain": 1, "ts_ns": 2500, "note": "café\u0001\ufffd"}|}
+    (json 2 (Flight.Note "caf\195\169\001\255"));
+  Alcotest.(check string) "phase name escaped"
+    {|{"event": "flight.phase", "seq": 3, "domain": 1, "ts_ns": 2500, "phase": "a\\b", "crash": 1}|}
+    (json 3 (Flight.Phase { name = {|a\b|}; crash = 1 }));
   List.iter
     (fun e ->
       let prefix = Printf.sprintf {|{"event": "%s", "seq": 1, |} (Flight.event_name e) in
@@ -330,7 +338,23 @@ let test_simulator_flight () =
       Alcotest.(check bool) "recovery phases recorded" true
         (List.exists
            (function Flight.Phase { name = "sim.redo"; _ } -> true | _ -> false)
-           events))
+           events);
+      (* Frames are stamped on the monotonic clock: along each domain's
+         seq order, ts_ns never decreases. *)
+      let domains =
+        List.sort_uniq compare (List.map (fun f -> f.Flight.domain) scan.Flight.frames)
+      in
+      List.iter
+        (fun d ->
+          let ts =
+            List.filter (fun f -> f.Flight.domain = d) scan.Flight.frames
+            |> List.sort (fun a b -> compare a.Flight.seq b.Flight.seq)
+            |> List.map (fun f -> f.Flight.ts_ns)
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "domain %d: ts_ns non-decreasing in seq order" d)
+            (List.sort compare ts) ts)
+        domains)
 
 let suite =
   [

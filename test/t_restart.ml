@@ -229,6 +229,36 @@ let test_instant_serves_during_recovery () =
   Alcotest.(check bool) "await again is a no-op" true
     (Sharded_store.await_recovery store = (0, 0))
 
+(* ---- the queue-depth histogram under concurrent drains ------------- *)
+
+(* During an instant restart every shard owner drains its own pages at
+   once, and each drain observes [restart.lazy_queue_depth]. Histograms
+   are plain mutable records, so an unguarded observe from four owners
+   loses events now and then; the histogram must count every drain in
+   every round. *)
+let test_queue_depth_counts_every_drain () =
+  let module Metrics = Redo_obs.Metrics in
+  let h = Metrics.histogram ~bounds:Metrics.count_bounds "restart.lazy_queue_depth" in
+  let store = Sharded_store.create ~shards:4 ~partitions:2048 ~cache_capacity:512 () in
+  Fun.protect ~finally:(fun () -> Sharded_store.close store) @@ fun () ->
+  for i = 1 to 40_000 do
+    Sharded_store.put store (Printf.sprintf "k%05d" (i mod 10_000)) (Printf.sprintf "v%d" i)
+  done;
+  Sharded_store.sync store;
+  for round = 1 to 40 do
+    Sharded_store.crash store;
+    let before = Metrics.events h in
+    ignore (Sharded_store.recover ~mode:`Instant store);
+    for i = 1 to 2_000 do
+      ignore (Sharded_store.get store (Printf.sprintf "k%05d" (i * 5 mod 10_000)))
+    done;
+    let demand, swept = Sharded_store.await_recovery store in
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: one histogram event per drain" round)
+      (demand + swept)
+      (Metrics.events h - before)
+  done
+
 (* ---- triage reconstructs the on-demand recovery --------------------- *)
 
 let with_flight f =
@@ -447,6 +477,8 @@ let suite =
     Alcotest.test_case "stop wakes await, abandons queues" `Quick test_stop_wakes_await;
     Alcotest.test_case "instant mode serves during recovery" `Quick
       test_instant_serves_during_recovery;
+    Alcotest.test_case "queue-depth histogram counts every drain" `Quick
+      test_queue_depth_counts_every_drain;
     Alcotest.test_case "triage reconstructs lazy drains" `Quick test_triage_lazy_drains;
     Alcotest.test_case "triage of an interrupted restart" `Quick
       test_triage_interrupted_restart;

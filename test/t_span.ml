@@ -70,7 +70,10 @@ let test_disabled_records_nothing () =
 
 let test_json_value () =
   (* One printer turns every attribute value, span or flight frame, into
-     a JSON literal; floats keep enough digits to read back exactly. *)
+     a JSON literal; floats keep enough digits to read back exactly.
+     Strings stay valid JSON whatever bytes they hold: UTF-8 passes
+     through, control bytes take \u escapes, a byte that is not UTF-8
+     becomes U+FFFD; a float that is not finite becomes null. *)
   List.iter
     (fun (v, lit) -> Alcotest.(check string) lit lit (Span.json_value v))
     [
@@ -78,7 +81,15 @@ let test_json_value () =
       Span.Int (-7), "-7";
       Span.Bool false, "false";
       Span.Float 2.25, "2.25";
+      Span.Float 1e17, "1e+17";
+      Span.Float (-0.), "-0";
       Span.String {|page "7"|}, {|"page \"7\""|};
+      Span.String {|a\b|}, {|"a\\b"|};
+      Span.String "caf\195\169\001\n", {|"café\u0001\u000a"|};
+      Span.String "bad \255 \xe2\x82 end", {|"bad \ufffd \ufffd end"|};
+      Span.Float Float.nan, "null";
+      Span.Float Float.infinity, "null";
+      Span.Float Float.neg_infinity, "null";
     ];
   Alcotest.(check (float 0.)) "float reads back exactly" (1. /. 3.)
     (float_of_string (Span.json_value (Span.Float (1. /. 3.))))
