@@ -566,28 +566,38 @@ let verify_recovery_invariant ?domains t =
   | None -> Ok report
   | Some msg -> Error msg
 
-let serial_contents ?(stable = true) t =
-  let records =
-    if stable then Log_manager.stable_records t.log else Log_manager.all_records t.log
-  in
+(* The single-threaded LSN-order replay of [records] from empty pages,
+   and the number of operations it applied. *)
+let serial_replay t records =
   let tbl = Hashtbl.create (max 16 t.n_partitions) in
-  List.iter
-    (fun r ->
-      match Record.payload r with
-      | Record.Physiological { pid; op } ->
-        let data = Option.value (Hashtbl.find_opt tbl pid) ~default:Page.Empty in
-        Hashtbl.replace tbl pid (Page_op.apply op data)
-      | _ -> ())
-    records;
-  Hashtbl.fold
-    (fun _ data acc ->
-      (match data with
-      | Page.Kv entries -> entries
-      | Page.Empty -> []
-      | d -> invalid_arg (Fmt.str "sharded serial replay: unexpected payload %a" Page.pp_data d))
-      :: acc)
-    tbl []
-  |> Kv_layout.merge_dumps
+  let ops =
+    List.fold_left
+      (fun ops r ->
+        match Record.payload r with
+        | Record.Physiological { pid; op } ->
+          let data = Option.value (Hashtbl.find_opt tbl pid) ~default:Page.Empty in
+          Hashtbl.replace tbl pid (Page_op.apply op data);
+          ops + 1
+        | _ -> ops)
+      0 records
+  in
+  let contents =
+    Hashtbl.fold
+      (fun _ data acc ->
+        (match data with
+        | Page.Kv entries -> entries
+        | Page.Empty -> []
+        | d -> invalid_arg (Fmt.str "sharded serial replay: unexpected payload %a" Page.pp_data d))
+        :: acc)
+      tbl []
+    |> Kv_layout.merge_dumps
+  in
+  ops, contents
+
+let log_records t ~stable =
+  if stable then Log_manager.stable_records t.log else Log_manager.all_records t.log
+
+let serial_contents ?(stable = true) t = snd (serial_replay t (log_records t ~stable))
 
 let certify t ~phase =
   ensure_open t;
@@ -595,17 +605,9 @@ let certify t ~phase =
   let stable, phase_name =
     match phase with `Live -> false, "live" | `Recovered -> true, "recovered"
   in
-  let records =
-    if stable then Log_manager.stable_records t.log else Log_manager.all_records t.log
-  in
-  let ops =
-    List.fold_left
-      (fun acc r ->
-        match Record.payload r with Record.Physiological _ -> acc + 1 | _ -> acc)
-      0 records
-  in
-  Theory_check.certify_serial ~method_name:name ~phase:phase_name ~ops
-    ~serial:(serial_contents ~stable t) ~observed:(dump t)
+  let ops, serial = serial_replay t (log_records t ~stable) in
+  Theory_check.certify_serial ~method_name:name ~phase:phase_name ~ops ~serial
+    ~observed:(dump t)
 
 (* ---- bookkeeping ---------------------------------------------------- *)
 

@@ -94,7 +94,8 @@ let triage_log_summary log =
   let module Lsn = Redo_storage.Lsn in
   {
     Redo_obs.Triage.stable_lsn = Lsn.to_int (Log_manager.flushed_lsn log);
-    stable_records = List.length (Log_manager.stable_records log);
+    (* LSNs are dense from 1, so the stable horizon is the count. *)
+    stable_records = Lsn.to_int (Log_manager.flushed_lsn log);
     stable_bytes = (Log_manager.stats log).Log_manager.stable_bytes;
     checkpoint_lsn =
       Option.map (fun (lsn, _) -> Lsn.to_int lsn) (Log_manager.last_stable_checkpoint log);

@@ -355,4 +355,25 @@ let decode_window data ~pos ~len =
   if c.pos <> c.limit then fail "trailing bytes: %d of %d consumed" (c.pos - pos) len;
   Record.make ~lsn payload
 
+(* --- peeking ---
+
+   A record is [i64 lsn | u8 payload tag | ...]. The header-only walk a
+   restart makes below the master record reads just these two fields. *)
+
+type kind = Op | Checkpoint | Shard_checkpoint
+
+let payload_kind : Record.payload -> kind = function
+  | Record.Checkpoint _ -> Checkpoint
+  | Record.Shard_checkpoint _ -> Shard_checkpoint
+  | _ -> Op
+
+let peek_lsn data ~pos ~len =
+  if len < size_i64 + size_u8 then -1 else Int64.to_int (Bytes.get_int64_be data pos)
+
+let peek_kind data ~pos =
+  match Bytes.get_uint8 data (pos + size_i64) with
+  | 5 -> Checkpoint
+  | 7 -> Shard_checkpoint
+  | _ -> Op
+
 let decode_record s = decode_window (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -19,6 +19,24 @@ val decode_window : Bytes.t -> pos:int -> len:int -> Record.t
     @raise Decode_error on truncation, unknown tags or trailing bytes.
     @raise Invalid_argument if the window is not inside the bytes. *)
 
+type kind = Op | Checkpoint | Shard_checkpoint
+(** What a record is to the log's checkpoint index: a global
+    [Checkpoint], a [Shard_checkpoint], or anything else. *)
+
+val payload_kind : Record.payload -> kind
+
+val peek_lsn : Bytes.t -> pos:int -> len:int -> int
+(** The LSN the record in bytes [pos..pos+len-1] starts with, read in
+    place with no decode and no CRC check: the identity check of a
+    header-only walk of the stable log. [-1] when the window is too
+    short to hold an LSN and a payload tag. *)
+
+val peek_kind : Bytes.t -> pos:int -> kind
+(** The {!kind} of the record starting at [pos], from its payload tag
+    alone. Meaningful only where {!peek_lsn} found a record. A tag the
+    decoder would reject reads as [Op]; the frame's CRC reports it when
+    the record is read. *)
+
 val encoded_size : Record.t -> int
 (** Exact wire size of the record (excluding framing), computed
     arithmetically without encoding — allocation-free, safe on the

@@ -42,17 +42,22 @@ type group = {
 }
 
 (* LSNs are dense (1, 2, 3, ...) and survivors of a crash are always a
-   prefix, so the volatile view is a growable array where slot [i] holds
-   the record with LSN [i+1]. Append pushes, force walks only the newly
-   stable slice, and the read paths are slices — nothing filters or
-   sorts the whole log. *)
+   prefix, so slot [i] holds the record with LSN [i+1]. Slots below
+   [base] are the frames a restore walked below the master record: each
+   keeps only its frame's offset and is decoded on read. Slots from
+   [base] on are decoded records in a growable array. Append pushes,
+   force walks only the newly stable slice, and the read paths are
+   slices — nothing filters or sorts the whole log. *)
 type t = {
-  mutable arr : Record.t array;  (* slots 0..len-1 are live *)
+  mutable offs : int array;  (* slots 0..base-1: frame offsets in [medium] *)
+  mutable base : int;
+  mutable arr : Record.t array;  (* slot i >= base is arr.(i - base) *)
   mutable len : int;
   capacity : int;  (* initial array size on first push *)
   mutable flushed : Lsn.t;  (* records with lsn <= flushed are stable *)
-  mutable ckpts : int list;  (* slot indices of checkpoint records, newest first *)
-  medium : Stable_log.t;  (* the crash-surviving frames *)
+  mutable ckpts : int list;  (* slots of global checkpoint records, newest first *)
+  mutable shard_ckpts : int list;  (* slots of shard checkpoint records, newest first *)
+  medium : Stable_log.t;  (* the crash-surviving frames and master cell *)
   counters : counters;
   mutable group : group option;
 }
@@ -61,11 +66,14 @@ type ticket = { tk_log : t; tk_upto : Lsn.t }
 
 let create ?(capacity = 16) () =
   {
+    offs = [||];
+    base = 0;
     arr = [||];
     len = 0;
     capacity = max 16 capacity;
     flushed = Lsn.zero;
     ckpts = [];
+    shard_ckpts = [];
     (* ~48 stable bytes per record covers the common logical/
        physiological payloads; oversizing only costs slack. *)
     medium = Stable_log.create ~capacity:(max 1024 (capacity * 48)) ();
@@ -90,13 +98,25 @@ let stats t =
 let medium t = t.medium
 
 let push t r =
-  if t.len = Array.length t.arr then begin
-    let arr = Array.make (max t.capacity (2 * t.len)) r in
-    Array.blit t.arr 0 arr 0 t.len;
+  let i = t.len - t.base in
+  if i = Array.length t.arr then begin
+    let arr = Array.make (max t.capacity (2 * i)) r in
+    Array.blit t.arr 0 arr 0 i;
     t.arr <- arr
   end;
-  t.arr.(t.len) <- r;
+  t.arr.(i) <- r;
   t.len <- t.len + 1
+
+let index_kind t slot : Codec.kind -> unit = function
+  | Op -> ()
+  | Checkpoint -> t.ckpts <- slot :: t.ckpts
+  | Shard_checkpoint -> t.shard_ckpts <- slot :: t.shard_ckpts
+
+(* The record in [slot]: from the array, or decoded from its frame with
+   the CRC re-checked. *)
+let record t slot =
+  if slot >= t.base then t.arr.(slot - t.base)
+  else Stable_log.read_record t.medium ~offset:t.offs.(slot) ~lsn:(Lsn.of_int (slot + 1))
 
 let append_unlocked t payload =
   let lsn = Lsn.of_int (t.len + 1) in
@@ -107,7 +127,7 @@ let append_unlocked t payload =
     if Flight.enabled () then
       Flight.emit
         (Flight.Checkpoint { lsn = Lsn.to_int lsn; dirty = List.length c.Record.dirty_pages })
-  | Record.Shard_checkpoint _ -> t.ckpts <- t.len :: t.ckpts
+  | Record.Shard_checkpoint _ -> t.shard_ckpts <- t.len :: t.shard_ckpts
   | _ -> ());
   push t r;
   let framed = Codec.encoded_size r + 8 in
@@ -133,14 +153,27 @@ let flushed_lsn t = t.flushed
 (* Number of live slots covered by the stable horizon. *)
 let stable_len t = min (Lsn.to_int t.flushed) t.len
 
+(* The newest global checkpoint slot below [last], or -1. *)
+let rec newest_below last = function
+  | slot :: older -> if slot >= last then newest_below last older else slot
+  | [] -> -1
+
 let force_run t ~upto =
   Atomic.incr t.counters.a_forces;
   let t0 = Span.now_ns () in
   let first = Lsn.to_int t.flushed and last = Lsn.to_int upto in
   let bytes_before = Stable_log.byte_size t.medium in
+  let ckpt = newest_below last t.ckpts in
+  let ckpt_offset = ref (-1) in
   for i = first to last - 1 do
-    ignore (Stable_log.append_record t.medium t.arr.(i))
+    if i = ckpt then ckpt_offset := Stable_log.byte_size t.medium;
+    ignore (Stable_log.append_record t.medium t.arr.(i - t.base))
   done;
+  (* The master moves only once the checkpoint's frame is on the medium;
+     a crash before this write restarts from the previous master. *)
+  if !ckpt_offset >= 0 then
+    Stable_log.set_master t.medium
+      (Some { Stable_log.ckpt_lsn = Lsn.of_int (ckpt + 1); offset = !ckpt_offset });
   let stable_bytes = Stable_log.byte_size t.medium in
   Atomic.set t.counters.a_stable_bytes stable_bytes;
   t.flushed <- upto;
@@ -209,16 +242,37 @@ let detach_group t =
   | None -> ()
   | Some g -> g.g_detach ()
 
+(* Fills the array slots past the decoded tail that a restore frees. *)
+let vacant = Record.make ~lsn:Lsn.zero (Record.App_op { tag = ""; body = "" })
+
 let restore_from_medium t =
-  (* The scan is the source of truth after a crash: whatever frames
-     survive (and checksum) are the log. They refill the slot array in
-     place, in LSN order. *)
+  (* The medium is the source of truth after a crash. Below the master
+     record only frame headers are walked: each slot keeps its frame's
+     offset. From the master on, the frames that survive (and checksum)
+     refill the decoded array in place, in LSN order. *)
+  let stale = t.len - t.base in
   t.len <- 0;
+  t.base <- 0;
   t.ckpts <- [];
-  Stable_log.truncate_torn t.medium ~push:(fun r ->
-      if Record.is_checkpoint r then t.ckpts <- t.len :: t.ckpts;
+  t.shard_ckpts <- [];
+  (match Stable_log.master t.medium with
+  | Some { Stable_log.ckpt_lsn; _ } when Array.length t.offs < Lsn.to_int ckpt_lsn ->
+    t.offs <- Array.make (Lsn.to_int ckpt_lsn) 0
+  | _ -> ());
+  Stable_log.restore t.medium
+    ~frame:(fun slot offset kind ->
+      t.offs.(slot) <- offset;
+      index_kind t slot kind;
+      t.base <- slot + 1;
+      t.len <- slot + 1)
+    ~push:(fun r ->
+      index_kind t t.len (Codec.payload_kind (Record.payload r));
       push t r);
-  t.flushed <- (if t.len = 0 then Lsn.zero else Record.lsn t.arr.(t.len - 1));
+  (* Drop the lost epoch's decoded records past the new tail, so they
+     are garbage at once. *)
+  let tail = t.len - t.base in
+  if stale > tail then Array.fill t.arr tail (stale - tail) vacant;
+  t.flushed <- Lsn.of_int t.len;
   Atomic.set t.counters.a_stable_bytes (Stable_log.byte_size t.medium);
   Metrics.incr c_restores
 
@@ -245,14 +299,14 @@ let crash_torn t ~drop =
   notify_group_crash t;
   let before = Stable_log.byte_size t.medium in
   for i = Lsn.to_int t.flushed to t.len - 1 do
-    ignore (Stable_log.append_record t.medium t.arr.(i))
+    ignore (Stable_log.append_record t.medium t.arr.(i - t.base))
   done;
   Stable_log.tear t.medium ~drop:(min drop (Stable_log.byte_size t.medium - before));
   restore_from_medium t
 
 let slice t ~lo ~hi =
   (* Records in slots lo..hi-1, in LSN order. *)
-  let rec go i acc = if i < lo then acc else go (i - 1) (t.arr.(i) :: acc) in
+  let rec go i acc = if i < lo then acc else go (i - 1) (record t i :: acc) in
   if hi <= lo then [] else go (hi - 1) []
 
 let stable_records t = slice t ~lo:0 ~hi:(stable_len t)
@@ -264,29 +318,23 @@ let all_records t = slice t ~lo:0 ~hi:t.len
 
 let last_stable_checkpoint t =
   let stable = stable_len t in
-  let rec go = function
-    | [] -> None
-    | i :: rest ->
-      if i >= stable then go rest
-      else
-        (match Record.payload t.arr.(i) with
-        | Record.Checkpoint c -> Some (Record.lsn t.arr.(i), c)
-        | _ -> go rest)
-  in
-  go t.ckpts
+  match List.find_opt (fun slot -> slot < stable) t.ckpts with
+  | None -> None
+  | Some slot ->
+    (match record t slot with
+    | { Record.lsn; payload = Record.Checkpoint c } -> Some (lsn, c)
+    | _ -> assert false)
 
 let stable_shard_checkpoints t =
   let stable = stable_len t in
-  (* t.ckpts is newest-first, so the fold preserves newest-first. *)
-  List.fold_left
-    (fun acc i ->
-      if i >= stable then acc
+  List.filter_map
+    (fun slot ->
+      if slot >= stable then None
       else
-        match Record.payload t.arr.(i) with
-        | Record.Shard_checkpoint sc -> (Record.lsn t.arr.(i), sc) :: acc
-        | _ -> acc)
-    []
-    (List.rev t.ckpts)
+        match record t slot with
+        | { Record.lsn; payload = Record.Shard_checkpoint sc } -> Some (lsn, sc)
+        | _ -> assert false)
+    t.shard_ckpts
 
 let stable_shard_horizons t =
   (* Newest-first + first-wins: each page's horizon is the newest stable
@@ -304,10 +352,11 @@ let stable_shard_horizons t =
 
 let stable_op_records t =
   (* Every stable record is either an operation's record or checkpoint
-     metadata ([t.ckpts] indexes both kinds), so the durable-operation
-     count is a subtraction, not a scan. *)
+     metadata, and the checkpoint indexes list the latter, so the
+     durable-operation count is a subtraction, not a scan. *)
   let stable = stable_len t in
-  stable - List.length (List.filter (fun slot -> slot < stable) t.ckpts)
+  let below = List.fold_left (fun n slot -> if slot < stable then n + 1 else n) 0 in
+  stable - below t.ckpts - below t.shard_ckpts
 
 let length t = t.len
 

@@ -96,23 +96,45 @@ val ticket_stable : ticket -> bool
 
 val crash : t -> unit
 (** Lose the volatile tail; the stable prefix survives. The surviving
-    records are re-read from the framed medium ({!Stable_log.scan}), so
-    only frames that checksum cleanly count. Any group-staged async
+    records are re-read from the framed medium by {!Stable_log.restore}:
+    below the master record (the newest global checkpoint a completed
+    force put on the medium) only frame headers are walked, and each of
+    those records keeps just its frame's offset, to be decoded on read;
+    from the master's frame on, frames are checked and decoded, and only
+    those that checksum cleanly count. Recovery reads from the redo
+    start on, and by Corollary 4 nothing before it is needed, so a
+    restart decodes what it must redo rather than the whole log. With no
+    master the whole log is checked and decoded. Any group-staged async
     requests are discarded first — a crash loses staged-but-unflushed
-    work, never completes it. *)
+    work, never completes it.
+    @raise Stable_log.Corrupt_frame if the walk below the master does
+    not land on the master's frame, or that frame does not check; the
+    medium is left untruncated. *)
 
 val crash_torn : t -> drop:int -> unit
 (** Crash while a final force of the whole unforced tail was in flight:
     all but its last [drop] bytes reached the medium, so the tail's
     frames survive except a torn final one, which the scan discards.
     Previously-forced bytes are never affected (page flushes only ever
-    waited on completed forces, so WAL consistency is preserved). Under
+    waited on completed forces, so WAL consistency is preserved), and
+    the racing force writes no master record, so the tear always lies
+    past the master's frame. Under
     group commit the "final force" models the batch that was racing the
     crash: its waiters had not yet been completed, so none of them were
     told their frames were stable. *)
 
 val medium : t -> Stable_log.t
-(** The underlying framed byte log (for fault injection and forensics). *)
+(** The underlying framed byte log and its master cell (for fault
+    injection and forensics). *)
+
+(** {2 Reading the log}
+
+    The readers below return records from the volatile array where a
+    record is decoded, and decode the rest from their frames, with the
+    CRC re-checked: the records a restart only walked past, below the
+    master. Records appended since stay decoded. A reader that meets a
+    corrupt frame raises {!Stable_log.Corrupt_frame}, naming its LSN
+    and offset; it never skips the frame or returns a wrong record. *)
 
 val stable_records : t -> Record.t list
 (** Stable records in LSN order. *)
@@ -130,7 +152,9 @@ val stable_shard_checkpoints : t -> (Lsn.t * Record.shard_ckpt) list
 (** All stable per-shard checkpoint records, newest first. A crash can
     tear off the trailing records of a sharded checkpoint (and its
     global summary) while earlier shard records survive — recovery then
-    degrades gracefully, shard by shard. *)
+    degrades gracefully, shard by shard. Those below the master are
+    decoded on read: the restore's walk indexes checkpoint records by
+    their tag alone. *)
 
 val stable_shard_horizons : t -> (int * Lsn.t) list
 (** Per-page install horizons from the stable shard records: for each
@@ -145,7 +169,7 @@ val stable_op_records : t -> int
     appends exactly one record (the physiological discipline, including
     the sharded KV service) this {e is} the durable-operation count,
     computed in O(checkpoints) instead of materializing the op-LSN
-    list. *)
+    list. Counted from the checkpoint index, so nothing is decoded. *)
 
 val length : t -> int
 val pp : t Fmt.t

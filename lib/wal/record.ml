@@ -43,9 +43,6 @@ let make ~lsn payload = { lsn; payload }
 let lsn r = r.lsn
 let payload r = r.payload
 
-let is_checkpoint r =
-  match r.payload with Checkpoint _ | Shard_checkpoint _ -> true | _ -> false
-
 let db_op_size = function
   | Db_put (k, v) -> 8 + String.length k + String.length v
   | Db_del k -> 8 + String.length k

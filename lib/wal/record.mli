@@ -61,7 +61,6 @@ val make : lsn:Lsn.t -> payload -> t
 
 val lsn : t -> Lsn.t
 val payload : t -> payload
-val is_checkpoint : t -> bool
 val byte_size : t -> int
 val db_op_size : db_op -> int
 val pp : t Fmt.t

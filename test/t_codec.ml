@@ -207,7 +207,7 @@ let test_stable_log_torn_tail () =
   Alcotest.(check bool) "torn detected" true result.Stable_log.torn;
   Alcotest.(check int) "one record lost" 9 (List.length result.Stable_log.records);
   let survivors = ref 0 in
-  Stable_log.truncate_torn log ~push:(fun _ -> incr survivors);
+  Stable_log.restore log ~frame:(fun _ _ _ -> ()) ~push:(fun _ -> incr survivors);
   Alcotest.(check int) "medium truncated" 9 !survivors;
   Alcotest.(check bool) "clean after truncation" false (Stable_log.scan log).Stable_log.torn
 

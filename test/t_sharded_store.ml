@@ -1,5 +1,6 @@
 (* The sharded KV service: randomized crash-recovery fuzz at shard
-   counts 1, 2 and 4 (100 runs each), plus a flight-recorder triage
+   counts 1, 2 and 4 (100 runs each, a third of them crashing with a
+   stale master record), plus a flight-recorder triage
    audit of the staged-commit claims after a torn crash and a check of
    the crash markers every crash stamps.
 
@@ -70,6 +71,8 @@ let fuzz ~shards seed =
   let m = { hist = Hashtbl.create 32; floor = Hashtbl.create 8 } in
   let awaited = ref [] in
   let held = ref [] in
+  let medium = Log_manager.medium (Sharded_store.log store) in
+  let masters = ref [] in
   for _ = 1 to nops do
     let key = Zipf.sample_key zipf rng in
     match Random.State.int rng 100 with
@@ -101,8 +104,12 @@ let fuzz ~shards seed =
       let tk = Sharded_store.get_async store key in
       Alcotest.check value_opt ("async get " ^ key) (model_latest m key)
         (Redo_par.Mailbox.Ticket.await tk)
-    | r when r < 93 -> Sharded_store.checkpoint store
-    | r when r < 96 -> ignore (Sharded_store.checkpoint_sharded store)
+    | r when r < 93 ->
+      Sharded_store.checkpoint store;
+      Util.track_masters medium masters
+    | r when r < 96 ->
+      ignore (Sharded_store.checkpoint_sharded store);
+      Util.track_masters medium masters
     | _ -> Sharded_store.sync store
   done;
   (* Certify the live run: concurrent execution = serial LSN replay. *)
@@ -111,7 +118,10 @@ let fuzz ~shards seed =
     (Fmt.str "live: %a" Theory_check.pp_certificate live)
     true
     (Theory_check.certificate_ok live);
-  (* Crash at this point, sometimes tearing the final force. *)
+  (* Crash at this point, sometimes tearing the final force, and
+     sometimes before the newest checkpoint's master write. *)
+  if Random.State.int rng 3 = 0 then
+    Stable_log.set_master medium (Util.pick_stale rng !masters);
   if Random.State.int rng 3 = 0 then
     Sharded_store.crash_torn store ~drop:(1 + Random.State.int rng 4)
   else Sharded_store.crash store;

@@ -33,4 +33,5 @@ let () =
       "oplat", T_oplat.suite;
       "instant restart", T_restart.suite;
       "page redo", T_page_redo.suite;
+      "master record", T_master.suite;
     ]

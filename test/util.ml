@@ -31,5 +31,20 @@ let qtest ?(count = 100) name prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name (QCheck.make (QCheck.Gen.int_bound 1_000_000)) prop)
 
+(* The master cells a run wrote to [medium], newest first: call after
+   every step that may force a checkpoint. *)
+let track_masters medium masters =
+  let m = Redo_wal.Stable_log.master medium in
+  match !masters with
+  | latest :: _ when latest = m -> ()
+  | _ -> masters := m :: !masters
+
+(* A master a crash between a checkpoint's force and the master write
+   could leave behind: an older one, or none. *)
+let pick_stale rng masters =
+  let older = match masters with _current :: older -> older | [] -> [] in
+  let choices = None :: List.filter Option.is_some older in
+  List.nth choices (Random.State.int rng (List.length choices))
+
 let x = Scenario.x
 let y = Scenario.y
