@@ -665,7 +665,7 @@ let serve_bench shards ops keys theta partitions cache restart do_check do_triag
       (* The invariant check projects the whole stable log; past a few
          thousand ops that dwarfs the bench itself. *)
       if ops <= 10_000 then
-        match SS.verify_recovery_invariant ~domains:2 store with
+        match SS.verify_recovery_invariant store with
         | Ok report ->
           Fmt.pr "  invariant: ok (%d ops, %d redo)@." report.Theory_check.op_count
             report.Theory_check.redo_count
@@ -908,8 +908,8 @@ let serve_bench_cmd =
             "Trace sampled operation latency end to end and print the report after the \
              throughput one: per-stage percentiles (mailbox dwell, shard apply, WAL stage, \
              batch wait, force, stable ack), tail attribution by dominant stage, and with \
-             $(b,--check) the recovery-progress gauge. Fails if the stage sums cover < 90% \
-             of end-to-end latency.")
+             $(b,--check) the recovery window and time to first op. Fails if the stage sums \
+             cover < 90% of end-to-end latency.")
   in
   let lat_out =
     Arg.(
@@ -924,7 +924,9 @@ let serve_bench_cmd =
     Arg.(
       value & opt int 32
       & info [ "lat-sample" ] ~docv:"N"
-          ~doc:"Sample one operation in $(docv) per posting domain for the latency tracer.")
+          ~doc:
+            "Sample one operation in $(docv) across all posting domains for the latency \
+             tracer.")
   in
   Cmd.v
     (Cmd.info "serve-bench"

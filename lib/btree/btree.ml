@@ -327,22 +327,24 @@ let crash_torn t ~drop =
   Log_manager.crash_torn t.log ~drop;
   after_crash t
 
-let stable_universe t =
-  let from_disk = Disk.page_ids t.disk in
-  let from_log =
-    List.concat_map
-      (fun r ->
-        match Record.payload r with
-        | Record.Physiological { pid; _ } -> [ pid ]
-        | Record.Multi mop -> Multi_op.reads mop @ Multi_op.writes mop
-        | _ -> [])
-      (Log_manager.stable_records t.log)
+(* The highest page id on the disk or named by [records]. *)
+let high_water t records =
+  let pages r =
+    match Record.payload r with
+    | Record.Physiological { pid; _ } -> [ pid ]
+    | Record.Multi mop -> Multi_op.reads mop @ Multi_op.writes mop
+    | _ -> []
   in
-  let high = List.fold_left max root_pid (from_disk @ from_log) in
-  List.init (high + 1) Fun.id
+  List.fold_left max root_pid (Disk.page_ids t.disk @ List.concat_map pages records)
+
+let stable_universe t = List.init (high_water t (Log_manager.stable_records t.log) + 1) Fun.id
 
 let recover t =
-  t.next_page <- List.fold_left max root_pid (stable_universe t) + 1;
+  (* Every record below the redo start is installed, so its pages are on
+     disk (Corollary 4): the disk and the redo slice name every page the
+     stable log does, without decoding the log below the slice. *)
+  let slice = Log_manager.records_from t.log ~from:(Redo_restart.Page_redo.scan_start t.log) in
+  t.next_page <- high_water t slice + 1;
   let scanned = ref 0 and redone = ref 0 and skipped = ref 0 in
   (* A stable per-shard horizon proves the record installed without
      fetching the page. Perf-only for an LSN-tested method — the page's
@@ -376,7 +378,7 @@ let recover t =
       | Record.Checkpoint _ | Record.Shard_checkpoint _ -> ()
       | Record.Physical _ | Record.Logical _ | Record.App_op _ ->
         invalid_arg "Btree recovery: unexpected record kind")
-    (Log_manager.records_from t.log ~from:(Redo_restart.Page_redo.scan_start t.log));
+    slice;
   !scanned, !redone, !skipped
 
 let durable_ops t =

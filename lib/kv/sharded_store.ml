@@ -54,19 +54,6 @@ type shard = {
   mailbox : Mailbox.t;
 }
 
-(* Live instant-restart state. [lr]'s queues are owner-domain-only; the
-   per-shard replay cursors here are Atomics so the Oplat gauge can be
-   fed from whichever owner drains. The whole record is reachable only
-   through the store's [restart] Atomic — cleared by the client-side
-   cleanup points ([await_recovery], crash, close), never by the owner
-   domains, so the sweeper pool's join always has a handle. *)
-type restart_state = {
-  lr : Lazy_redo.t;
-  rs_records : int array;  (* queued records per shard, fixed at plan time *)
-  rs_replayed : int Atomic.t array;
-  rs_done : bool Atomic.t;  (* CAS guard: recovery_finished fires once *)
-}
-
 type t = {
   nshards : int;
   n_partitions : int;
@@ -83,7 +70,11 @@ type t = {
   scanned : int Atomic.t;
   redone : int Atomic.t;
   skipped : int Atomic.t;
-  restart : restart_state option Atomic.t;
+  restart : Lazy_redo.t option Atomic.t;
+      (* The live instant restart. Cleared only by the client-side
+         cleanup points ([await_recovery], crash, close), never by the
+         owner domains, so the sweeper pool's join always has a
+         handle. *)
   mutable closed : bool;
 }
 
@@ -145,12 +136,10 @@ let owner t pid = t.shard_arr.(pid mod t.nshards)
 
 (* ---- instant restart ------------------------------------------------- *)
 
-(* Exactly one drain takes the pending total to zero; whoever observes
-   that first (its own owner domain, or the sweeper's touch) wins the
-   CAS and closes the Oplat recovery window. *)
-let rec_finished rs =
-  if Lazy_redo.finished rs.lr && Atomic.compare_and_set rs.rs_done false true then
-    if Oplat.enabled () then Oplat.recovery_finished ()
+(* After a drain, close the Oplat recovery window if the recovered set
+   is total. The last drains on two owner domains can both see that;
+   the window's finish is idempotent. *)
+let after_drain lr = if Lazy_redo.finished lr && Oplat.enabled () then Oplat.recovery_finished ()
 
 (* The demand fault: called on the page's owner domain before any read
    of or logged update to the page, so an operation can never observe —
@@ -158,8 +147,7 @@ let rec_finished rs =
 let ensure_recovered t pid =
   match Atomic.get t.restart with
   | None -> ()
-  | Some rs ->
-    if Lazy_redo.ensure rs.lr ~pid ~trigger:Lazy_redo.Demand then rec_finished rs
+  | Some lr -> if Lazy_redo.ensure lr ~pid ~trigger:Lazy_redo.Demand then after_drain lr
 
 (* Client-domain only: joining the sweeper from an owner domain could
    deadlock (the sweeper may be blocked on a ticket that owner must
@@ -168,20 +156,20 @@ let ensure_recovered t pid =
 let stop_restart t =
   match Atomic.exchange t.restart None with
   | None -> ()
-  | Some rs -> Lazy_redo.stop rs.lr
+  | Some lr -> Lazy_redo.stop lr
 
 let recovery_pending t =
   match Atomic.get t.restart with
   | None -> 0
-  | Some rs -> Lazy_redo.pending_total rs.lr
+  | Some lr -> Lazy_redo.pending_total lr
 
 let await_recovery t =
   match Atomic.get t.restart with
   | None -> 0, 0
-  | Some rs ->
-    ignore (Lazy_redo.await rs.lr);
-    let demand = Lazy_redo.demand_drains rs.lr in
-    let swept = Lazy_redo.sweeper_drains rs.lr in
+  | Some lr ->
+    ignore (Lazy_redo.await lr);
+    let demand = Lazy_redo.demand_drains lr in
+    let swept = Lazy_redo.sweeper_drains lr in
     stop_restart t;
     demand, swept
 
@@ -392,7 +380,7 @@ let crash_torn t ~drop = crash_with t ~torn:true ~drop
    without re-logging (these records are already stable). The plan
    excluded everything surely on disk, so the only skips here are
    records a previous partial restart already applied. *)
-let lazy_apply t rs_records rs_replayed ~shard ~pid:_ records =
+let lazy_apply t ~shard ~pid:_ records =
   let s = t.shard_arr.(shard) in
   let redone = ref 0 and skipped = ref 0 in
   Array.iter
@@ -407,11 +395,6 @@ let lazy_apply t rs_records rs_replayed ~shard ~pid:_ records =
   Metrics.add c_replayed !redone;
   ignore (Atomic.fetch_and_add t.redone !redone);
   ignore (Atomic.fetch_and_add t.skipped !skipped);
-  let n = Array.length records in
-  let replayed = Atomic.fetch_and_add rs_replayed.(shard) n + n in
-  if Oplat.enabled () then
-    Oplat.recovery_progress ~shard ~replayed
-      ~remaining:(max 0 (rs_records.(shard) - replayed));
   !redone, !skipped
 
 let recover ?(mode = `Eager) t =
@@ -422,10 +405,9 @@ let recover ?(mode = `Eager) t =
   drain t;
   if Flight.enabled () then
     Flight.emit (Flight.Phase { name = "kv.recover"; crash = Atomic.get t.crashes });
-  (* Arm the progress gauge before any scan work: time-to-first-op is
-     measured from here, and mid-replay readers see live per-shard
-     cursors. *)
-  if Oplat.enabled () then Oplat.recovery_start ~shards:t.nshards;
+  (* Open the recovery window before any scan work: time-to-first-op is
+     measured from here. *)
+  if Oplat.enabled () then Oplat.recovery_start ();
   let mode_name = match mode with `Eager -> "eager" | `Instant -> "instant" in
   Span.span "kv.recover"
     ~attrs:[ "shards", Span.Int t.nshards; "mode", Span.String mode_name ]
@@ -453,15 +435,8 @@ let recover ?(mode = `Eager) t =
       if Oplat.enabled () then Oplat.recovery_finished ()
     end
     else begin
-      let rs_records = Array.init t.nshards (Lazy_redo.plan_shard_records plan) in
-      let rs_replayed = Array.init t.nshards (fun _ -> Atomic.make 0) in
-      let lr = Lazy_redo.create ~plan ~apply:(lazy_apply t rs_records rs_replayed) in
-      let rs = { lr; rs_records; rs_replayed; rs_done = Atomic.make false } in
-      if Oplat.enabled () then
-        Array.iteri
-          (fun i n -> Oplat.recovery_progress ~shard:i ~replayed:0 ~remaining:n)
-          rs_records;
-      Atomic.set t.restart (Some rs);
+      let lr = Lazy_redo.create ~plan ~apply:(lazy_apply t) in
+      Atomic.set t.restart (Some lr);
       (* The sweeper's touch is the same owner-domain fault a client
          takes, and it blocks per page, so a demand operation queued
          behind it waits for at most one page's drain. *)
@@ -469,7 +444,7 @@ let recover ?(mode = `Eager) t =
           let s = owner t pid in
           Mailbox.Ticket.await
             (Mailbox.call s.mailbox (fun () ->
-                 if Lazy_redo.ensure lr ~pid ~trigger then rec_finished rs)))
+                 if Lazy_redo.ensure lr ~pid ~trigger then after_drain lr)))
     end;
     { scanned; redone = 0; skipped = preskipped; analysis_scanned }
   | `Eager ->
@@ -494,18 +469,8 @@ let recover ?(mode = `Eager) t =
     let parent = Span.current () in
     let replay (s : shard) records () =
       let redone = ref 0 and skipped = ref 0 in
-      let total = List.length records in
-      let track = Oplat.enabled () in
-      if track then Oplat.recovery_progress ~shard:s.index ~replayed:0 ~remaining:total;
-      let seen = ref 0 in
       List.iter
         (fun r ->
-          incr seen;
-          (* Coarse cursor updates: every 64 records keeps the gauge off
-             the replay hot path. *)
-          if track && !seen land 63 = 0 then
-            Oplat.recovery_progress ~shard:s.index ~replayed:!seen
-              ~remaining:(total - !seen);
           match Record.payload r with
           | Record.Physiological { pid; op } ->
             let lsn = Record.lsn r in
@@ -516,7 +481,6 @@ let recover ?(mode = `Eager) t =
             else incr skipped
           | _ -> assert false)
         records;
-      if track then Oplat.recovery_progress ~shard:s.index ~replayed:total ~remaining:0;
       !redone, !skipped
     in
     let results =
@@ -555,13 +519,10 @@ let projection t =
     ~universe:(Kv_layout.universe ~partitions:t.n_partitions)
     ~disk:t.disk t.log
 
-let verify_recovery_invariant ?domains t =
-  let pool =
-    match domains with
-    | Some d when d > 1 -> Some (Redo_par.Domain_pool.shared ~domains:d)
-    | _ -> None
+let verify_recovery_invariant t =
+  let report =
+    Theory_check.check ~domains:2 ~pool:(Redo_par.Domain_pool.shared ~domains:2) (projection t)
   in
-  let report = Theory_check.check ?domains ?pool (projection t) in
   match report.Theory_check.failure with
   | None -> Ok report
   | Some msg -> Error msg

@@ -194,11 +194,11 @@ val projection : t -> Redo_methods.Projection.t
 (** Project stable log + stable state into the theory (call after
     {!crash}, before {!recover} — like the method facades). *)
 
-val verify_recovery_invariant :
-  ?domains:int -> t -> (Redo_methods.Theory_check.report, string) result
+val verify_recovery_invariant : t -> (Redo_methods.Theory_check.report, string) result
 (** Check the Recovery Invariant against the crashed store's
     projection, with every leg of {!Redo_methods.Theory_check.check}:
-    sequential, parallel (at [domains > 1]), sharded-horizon and lazy
+    sequential, parallel (on the shared 2-domain
+    {!Redo_par.Domain_pool.shared} pool), sharded-horizon and lazy
     (demand-order). *)
 
 val serial_contents : ?stable:bool -> t -> (string * string) list

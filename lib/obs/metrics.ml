@@ -131,12 +131,13 @@ let observe_locked h v =
 
 let events h = h.h_events
 let mean h = if h.h_events = 0 then 0. else h.h_sum /. float h.h_events
+let max h = h.h_max
 let bucket_counts h = Array.copy h.buckets
 
 let percentile h p =
   if h.h_events = 0 then 0.
   else begin
-    let rank = max 1 (int_of_float (ceil (p /. 100. *. float h.h_events))) in
+    let rank = Stdlib.max 1 (int_of_float (ceil (p /. 100. *. float h.h_events))) in
     let n = Array.length h.buckets in
     let rec go i acc =
       if i >= n - 1 then h.h_max
@@ -147,37 +148,32 @@ let percentile h p =
     go 0 0
   end
 
-(* Interpolated percentile over raw bucket tallies. [percentile]
-   reports the bucket's upper bound — an overestimate bounded by the
-   bucket resolution; this refines it by interpolating linearly within
-   the bucket holding the rank, clamped to the observed maximum. The
-   raw-array form exists so external accumulators (per-domain staging
-   buffers like Oplat's) can share the arithmetic without registering
-   histograms. *)
-let percentile_of_buckets ~bounds ~buckets ~events ~max:hmax p =
-  if events = 0 then 0.
+(* [percentile] reports the bucket's upper bound — an overestimate
+   bounded by the bucket resolution; this refines it by interpolating
+   linearly within the bucket holding the rank, clamped to the observed
+   maximum. *)
+let percentile_interp h p =
+  if h.h_events = 0 then 0.
   else begin
-    let rank = Float.max 1e-9 (Float.min (p /. 100. *. float events) (float events)) in
-    let n = Array.length buckets in
+    let events = float h.h_events in
+    let rank = Float.max 1e-9 (Float.min (p /. 100. *. events) events) in
+    let n = Array.length h.buckets in
     let rec go i cum =
-      if i >= n - 1 then hmax
+      if i >= n - 1 then h.h_max
       else begin
-        let c = buckets.(i) in
+        let c = h.buckets.(i) in
         let cum' = cum +. float c in
         if c > 0 && cum' >= rank then begin
-          let lo = if i = 0 then 0. else bounds.(i - 1) in
+          let lo = if i = 0 then 0. else h.bounds.(i - 1) in
           let frac = (rank -. cum) /. float c in
-          lo +. (frac *. (bounds.(i) -. lo))
+          lo +. (frac *. (h.bounds.(i) -. lo))
         end
         else go (i + 1) cum'
       end
     in
     let v = go 0 0. in
-    if hmax > 0. then Float.min v hmax else v
+    if h.h_max > 0. then Float.min v h.h_max else v
   end
-
-let percentile_interp h p =
-  percentile_of_buckets ~bounds:h.bounds ~buckets:h.buckets ~events:h.h_events ~max:h.h_max p
 
 let span h f =
   let t0 = Span.now_ns () in

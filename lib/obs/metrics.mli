@@ -86,6 +86,9 @@ val observe_locked : histogram -> float -> unit
 val events : histogram -> int
 val mean : histogram -> float
 
+val max : histogram -> float
+(** The largest observed value (0 before any observation). *)
+
 val bucket_counts : histogram -> int array
 (** Per-bucket tallies, one slot per bound plus the overflow bucket
     (a copy; mutating it does not affect the histogram). *)
@@ -102,14 +105,6 @@ val percentile_interp : histogram -> float -> float
     bucket, and the bucket's bound), clamped to the observed maximum —
     the bucket-resolution refinement `redo stats --json` reports next
     to the raw bounds. *)
-
-val percentile_of_buckets :
-  bounds:float array -> buckets:int array -> events:int -> max:float -> float -> float
-(** The raw-array core of {!percentile_interp}, for external
-    accumulators (e.g. per-domain staging buffers) that share the
-    bucket arithmetic without registering a histogram. [buckets] has
-    one slot per bound plus the overflow bucket; [max] is the observed
-    maximum (overflow ranks report it). *)
 
 (** {1 Spans} *)
 

@@ -16,11 +16,14 @@
     mailbox handoff orders them); committer edges arrive keyed by LSN
     through {!register}/{!wal_staged}/{!batch_admitted}/
     {!force_completed}/{!acked}, which stamp every in-flight ticket the
-    horizon covers. Completed tickets fold into per-domain [Domain.DLS]
-    accumulators (the [Span] buffer discipline): per-stage log-scale
-    histograms, a dominant-stage-by-latency-bucket tally for tail
-    attribution, a reservoir of full traces, and a wall-clock-bucketed
-    time series. Every hook costs one Atomic load when disabled. *)
+    horizon covers. A completed ticket folds, under the in-flight
+    table's mutex, into one copy of the statistics: {!Metrics}
+    histograms in a registry of Oplat's own (one per stage, end to
+    end, and end to end again per dominant stage for tail
+    attribution), one reservoir of full traces, and one
+    wall-clock-bucketed time series. A recovery window times the last
+    restart and its first operation. Every hook costs one Atomic load
+    when disabled. *)
 
 type ticket
 (** One sampled operation's stamps. Mutable; owned by whichever domain
@@ -33,21 +36,22 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val set_sample_every : int -> unit
-(** Sample one operation in [n] per posting domain (default 32).
-    Raises [Invalid_argument] if [n < 1]. *)
+(** Sample one operation in [n] across all posting domains (default
+    32). Raises [Invalid_argument] if [n < 1]. *)
 
-val set_reservoir : int -> unit
-(** Per-domain cap on retained full traces (default 128). *)
+val reservoir_cap : int
+(** Full traces retained for the Chrome export (128). *)
 
 val reset : unit -> unit
-(** Clear every accumulator, the in-flight table, the drop tally and
-    the recovery gauge, and restart the time-series origin. *)
+(** Clear the statistics, the in-flight table, the drop tally and the
+    recovery window, and restart the time-series origin. *)
 
 (** {1 Recording: client and owner edges} *)
 
 val sample : unit -> ticket option
-(** Per-domain 1-in-[sample_every] countdown; [Some] stamps the [post]
-    edge. Always [None] when disabled (one Atomic load). *)
+(** One Atomic 1-in-[sample_every] counter shared by every caller;
+    [Some] stamps the [post] edge. Always [None] when disabled (one
+    Atomic load). *)
 
 val stamp_dequeue : ticket -> shard:int -> unit
 (** The shard owner dequeued the operation: closes [dwell]. *)
@@ -87,27 +91,21 @@ val drop_inflight : unit -> unit
 (** {1 Recording: mailbox dwell} *)
 
 val mailbox_sample : unit -> bool
-(** Per-domain 1-in-[sample_every] countdown for the generic mailbox
-    dwell probe ([Mailbox.post] wraps the task when it fires). *)
+(** The generic mailbox dwell probe's own shared 1-in-[sample_every]
+    counter ([Mailbox.post] wraps the task when it fires). *)
 
 val mailbox_dwell : float -> unit
-(** Record one post-to-dequeue dwell (nanoseconds) into the consuming
-    domain's accumulator. *)
+(** Record one post-to-dequeue dwell (nanoseconds). *)
 
-(** {1 Recovery progress} *)
+(** {1 Recovery window} *)
 
-val recovery_start : shards:int -> unit
-(** Recovery began: reset the per-shard cursors and arm the
-    time-to-first-op stamp. *)
-
-val recovery_progress : shard:int -> replayed:int -> remaining:int -> unit
-
-val recovery_pending : shard:int -> pages:int -> unit
-(** Instant restart: [pages] of this shard still await their lazy redo
-    drain. Also maintains the [restart.pending_pages] gauge (summed
-    over shards) in the metrics registry. *)
+val recovery_start : unit -> unit
+(** Recovery began: open a new window and arm the time-to-first-op
+    stamp. *)
 
 val recovery_finished : unit -> unit
+(** The recovered set is total: close the window. Idempotent: only the
+    first call after {!recovery_start} stamps. *)
 
 val first_op : unit -> unit
 (** The first operation after {!recovery_start} reached the service;
@@ -121,25 +119,17 @@ type stage_view = {
   sv_name : string;
   sv_events : int;
   sv_mean_ns : float;
-  sv_p50_ns : float;  (** Interpolated, see {!Metrics.percentile_of_buckets}. *)
+  sv_p50_ns : float;  (** Interpolated, see {!Metrics.percentile_interp}. *)
   sv_p99_ns : float;
   sv_p999_ns : float;
   sv_max_ns : float;
   sv_sum_ns : float;
 }
 
-type shard_progress = {
-  rp_shard : int;
-  rp_replayed : int;
-  rp_remaining : int;
-  rp_pending_pages : int;  (** Pages awaiting their lazy redo drain (instant restart). *)
-}
-
 type recovery_view = {
   rv_elapsed_ns : float;  (** Start to finish, or to now if still replaying. *)
   rv_finished : bool;
   rv_first_op_ns : float option;  (** First post-recovery op, from recovery start. *)
-  rv_shards : shard_progress list;
 }
 
 type report = {
@@ -162,9 +152,9 @@ type report = {
 }
 
 val report : unit -> report
-(** Merge every domain's accumulator; the tail is the ops beyond the
-    end-to-end p99. Take it after a quiescent point (sync/drain) for
-    exact counts. *)
+(** Read the statistics; the tail is the ops beyond the end-to-end
+    p99. Take it after a quiescent point (sync/drain) for exact
+    counts. *)
 
 val pp : Format.formatter -> report -> unit
 val to_json : report -> string
@@ -180,5 +170,4 @@ val chrome_json : unit -> string
     rides in the span attrs. *)
 
 val trace_count : unit -> int
-(** Reservoir occupancy across all domains (bounded by
-    {!set_reservoir} per recording domain). *)
+(** Reservoir occupancy (at most {!reservoir_cap}). *)

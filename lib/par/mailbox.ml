@@ -104,9 +104,9 @@ let create ?(name = "mailbox") ?(capacity = 1024) () =
   t
 
 let post t task =
-  (* Sampled dwell probe: wrap the task so the consumer stamps
-     post-to-dequeue time into its own domain's accumulator. Disabled
-     cost is one Atomic load; a sampled post allocates one closure. *)
+  (* Sampled dwell probe: wrap the task so the consumer records its
+     post-to-dequeue time. Disabled cost is one Atomic load; a sampled
+     post allocates one closure. *)
   let task =
     if Oplat.mailbox_sample () then begin
       let t0 = Redo_obs.Span.now_ns () in

@@ -25,7 +25,6 @@
 
 module Metrics = Redo_obs.Metrics
 module Flight = Redo_obs.Flight
-module Oplat = Redo_obs.Oplat
 module Domain_pool = Redo_par.Domain_pool
 open Redo_wal
 
@@ -166,28 +165,23 @@ type t = {
 }
 
 let create ~plan:p ~apply =
-  let t =
-    {
-      nshards = p.p_shards;
-      queues = p.p_queues;
-      counts = p.p_counts;
-      order = p.p_order;
-      apply;
-      pending_pages = Array.map Atomic.make p.p_pages;
-      pending_total = Atomic.make (plan_pages p);
-      redone = Atomic.make 0;
-      skipped = Atomic.make 0;
-      demand_drains = Atomic.make 0;
-      sweeper_drains = Atomic.make 0;
-      stop = Atomic.make false;
-      sweeper = None;
-      fin_mutex = Mutex.create ();
-      fin_cond = Condition.create ();
-    }
-  in
-  if Oplat.enabled () then
-    Array.iteri (fun i pages -> Oplat.recovery_pending ~shard:i ~pages) p.p_pages;
-  t
+  {
+    nshards = p.p_shards;
+    queues = p.p_queues;
+    counts = p.p_counts;
+    order = p.p_order;
+    apply;
+    pending_pages = Array.map Atomic.make p.p_pages;
+    pending_total = Atomic.make (plan_pages p);
+    redone = Atomic.make 0;
+    skipped = Atomic.make 0;
+    demand_drains = Atomic.make 0;
+    sweeper_drains = Atomic.make 0;
+    stop = Atomic.make false;
+    sweeper = None;
+    fin_mutex = Mutex.create ();
+    fin_cond = Condition.create ();
+  }
 
 let pending_pages t shard = Atomic.get t.pending_pages.(shard)
 let pending_total t = Atomic.get t.pending_total
@@ -226,8 +220,6 @@ let ensure t ~pid ~trigger =
       if Flight.enabled () then
         Flight.emit (Flight.Lazy_drain { page = pid; queue = n; demand = trigger = Demand });
       ignore (Atomic.fetch_and_add t.pending_pages.(shard) (-1));
-      if Oplat.enabled () then
-        Oplat.recovery_pending ~shard ~pages:(Atomic.get t.pending_pages.(shard));
       let left = Atomic.fetch_and_add t.pending_total (-1) - 1 in
       if left = 0 then signal_finished t;
       true

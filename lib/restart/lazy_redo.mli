@@ -66,12 +66,11 @@ type t
 
 val create :
   plan:plan -> apply:(shard:int -> pid:int -> Redo_wal.Record.t array -> int * int) -> t
-(** Take ownership of the plan's queues. [apply] replays one page's
-    queue under the page-LSN redo test ({!Page_redo.redo_one}) and
-    returns
-    [(redone, skipped)]; it is invoked on whatever domain calls
-    {!ensure} — the shard owner's. Publishes the initial per-shard
-    pending-page counts to [Oplat.recovery_pending]. *)
+(** Take ownership of the plan's queues; every queued page starts
+    pending ({!pending_pages}, {!pending_total}). [apply] replays one
+    page's queue under the page-LSN redo test ({!Page_redo.redo_one})
+    and returns [(redone, skipped)]; it is invoked on whatever domain
+    calls {!ensure} — the shard owner's. *)
 
 val ensure : t -> pid:int -> trigger:trigger -> bool
 (** Drain the page's queue if it still has one; idempotent ([false] =
@@ -79,8 +78,8 @@ val ensure : t -> pid:int -> trigger:trigger -> bool
     The queue is removed before [apply] runs, so the logged-update path
     inside [apply] cannot re-enter the drain. Emits a
     [Flight.Lazy_drain] frame, feeds the [restart.lazy_queue_depth]
-    histogram and the demand/sweeper drain counters, and updates the
-    pending gauges. *)
+    histogram and the demand/sweeper drain counters, and decrements
+    the pending counts. *)
 
 val pending_pages : t -> int -> int
 (** Pages of one shard still awaiting their drain. *)

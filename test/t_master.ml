@@ -18,7 +18,8 @@
    - The restore decodes nothing below the master: one crash plus an
      eager recovery decodes the frames from the master on plus the
      checkpoint frames recovery reads below it, and recovers what a full
-     scan recovers. *)
+     scan recovers. A generalized (B-tree) recovery likewise decodes
+     below the master only its redo slice and the shard checkpoints. *)
 
 open Redo_storage
 open Redo_wal
@@ -337,6 +338,58 @@ let test_decodes_per_crash () =
     ]
     [ stats.scanned; stats.redone; stats.skipped; stats.analysis_scanned ]
 
+(* The B-tree takes its next page id from the disk and the redo slice,
+   so a generalized recovery decodes below the master only the redo
+   slice's frames there and the shard checkpoints behind the horizons,
+   not the whole log. *)
+let test_generalized_recover_decodes () =
+  let decoded = Metrics.counter "stable_log.frames_decoded" in
+  let i = Registry.find "generalized" ~cache_capacity:512 ~partitions:8 () in
+  let log = Method_intf.instance_log i in
+  let medium = Log_manager.medium log in
+  (* Sharded then fuzzy checkpoints: the last, the master, lists pages
+     dirtied since the sharded one, so the redo slice starts below it. *)
+  for round = 1 to 4 do
+    for k = 1 to 60 do
+      Method_intf.instance_put i (key ((round * 13) + k)) (string_of_int round)
+    done;
+    if round mod 2 = 1 then ignore (Method_intf.instance_checkpoint_sharded ~domains:1 i)
+    else Method_intf.instance_checkpoint i
+  done;
+  for k = 1 to 40 do
+    Method_intf.instance_put i (key k) "tail"
+  done;
+  Method_intf.instance_sync i;
+  Method_intf.instance_crash i;
+  let master = master_lsn medium in
+  let scan_below = master - Lsn.to_int (Page_redo.scan_start log) in
+  let shard_below =
+    List.length
+      (List.filter
+         (fun (lsn, _) -> Lsn.to_int lsn < master)
+         (Log_manager.stable_shard_checkpoints log))
+  in
+  Alcotest.(check bool) "the redo slice starts below the master" true (scan_below > 0);
+  Alcotest.(check bool) "shard records lie below the master" true (shard_below > 0);
+  Alcotest.(check bool) "the log below the master holds more than both" true
+    (master - 1 > scan_below + shard_below);
+  let before = Metrics.count decoded in
+  let stats = Method_intf.instance_recover i in
+  Alcotest.(check int) "recovery decodes the redo slice and shard records below the master"
+    (scan_below + shard_below)
+    (Metrics.count decoded - before);
+  let contents = Method_intf.instance_dump i in
+  (* The full-scan reference: the same crash and recovery with no
+     master. *)
+  Stable_log.set_master medium None;
+  Method_intf.instance_crash i;
+  let reference = Method_intf.instance_recover i in
+  Alcotest.(check (list int)) "scanned/redone/skipped as a full scan"
+    [ reference.scanned; reference.redone; reference.skipped ]
+    [ stats.scanned; stats.redone; stats.skipped ];
+  Alcotest.(check (list (pair string string))) "contents as a full scan"
+    (Method_intf.instance_dump i) contents
+
 let suite =
   [
     Alcotest.test_case "master follows forced checkpoints" `Quick
@@ -356,4 +409,6 @@ let suite =
     Util.qtest ~count:20 "stale master = current: sharded instant"
       (prop_stale_master_sharded ~mode:`Instant);
     Alcotest.test_case "one crash decodes from the master on" `Quick test_decodes_per_crash;
+    Alcotest.test_case "generalized recovery decodes its redo slice" `Quick
+      test_generalized_recover_decodes;
   ]

@@ -1,8 +1,9 @@
 (* End-to-end operation latency tracer: ticket lifecycle accounting,
-   tail attribution plumbing, reservoir bounds, recovery gauge, and the
-   live sharded-service integration. Every test switches the tracer off
-   and clears its accumulators on the way out — the tracer is
-   process-global and the other suites must not see it. *)
+   tail attribution plumbing, reservoir bounds, the recovery window,
+   concurrent finalization, and the live sharded-service integration.
+   Every test switches the tracer off and clears its statistics on the
+   way out — the tracer is process-global and the other suites must
+   not see it. *)
 
 open Redo_obs
 
@@ -107,37 +108,91 @@ let test_drain_finalizes_stragglers () =
 
 let test_reservoir_bound () =
   with_oplat @@ fun () ->
-  Oplat.set_reservoir 8;
-  for i = 1 to 100 do
+  let n = 2 * Oplat.reservoir_cap in
+  for i = 1 to n do
     full_lifecycle ~lsn:i ()
   done;
   let r = Oplat.report () in
-  Alcotest.(check int) "all completed" 100 r.Oplat.r_completed;
-  Alcotest.(check bool)
-    (Printf.sprintf "reservoir bounded (%d <= 8)" (Oplat.trace_count ()))
-    true
-    (Oplat.trace_count () <= 8);
+  Alcotest.(check int) "all completed" n r.Oplat.r_completed;
+  Alcotest.(check int) "reservoir holds the cap" Oplat.reservoir_cap (Oplat.trace_count ());
   (* The retained traces still export. *)
   let chrome = Oplat.chrome_json () in
   Alcotest.(check bool) "chrome export non-trivial" true (String.length chrome > 20)
 
+(* The recovery window: a start, an idempotent finish (instant
+   restart's last drains can race to close it), and the first-op stamp
+   that feeds the time-to-first-op gauge. *)
 let test_recovery_gauge () =
   with_oplat @@ fun () ->
-  Oplat.recovery_start ~shards:2;
-  Oplat.recovery_progress ~shard:0 ~replayed:10 ~remaining:0;
-  Oplat.recovery_progress ~shard:1 ~replayed:5 ~remaining:2;
+  let window () =
+    match (Oplat.report ()).Oplat.r_recovery with
+    | Some rv -> rv
+    | None -> Alcotest.fail "expected a recovery view"
+  in
+  Oplat.recovery_start ();
   Oplat.recovery_finished ();
+  let closed = window () in
+  Alcotest.(check bool) "finished" true closed.Oplat.rv_finished;
+  Alcotest.(check bool) "no first op yet" true (closed.Oplat.rv_first_op_ns = None);
+  Oplat.recovery_finished ();
+  Alcotest.(check (float 0.)) "a second finish changes nothing" closed.Oplat.rv_elapsed_ns
+    (window ()).Oplat.rv_elapsed_ns;
   Oplat.first_op ();
+  match (window ()).Oplat.rv_first_op_ns with
+  | None -> Alcotest.fail "first op not stamped"
+  | Some fo ->
+    Alcotest.(check (float 0.)) "the stamp feeds restart.time_to_first_op_ns" fo
+      (Metrics.level (Metrics.gauge "restart.time_to_first_op_ns"))
+
+(* Four domains finalize at once, and every fold must land in the one
+   copy of the statistics. Registration and the exact-LSN edges come
+   first, then the forces, then the acks, each phase started together.
+   The domains' LSNs interleave, and each domain forces and acks once
+   per 100 of its tickets, so every call folds a batch and the batches
+   overlap. Which domain finalizes a ticket varies (a force or ack
+   covers every lower LSN in flight), but which edges it carries does
+   not. *)
+let test_concurrent_finalization () =
+  with_oplat @@ fun () ->
+  let domains = 4 and per = 500 in
+  let lsn d i = (i * domains) + d + 1 in
+  let durable i = i mod 2 = 0 in
+  let in_parallel f =
+    let go = Atomic.make false in
+    let ds =
+      List.init domains (fun d ->
+          Domain.spawn (fun () ->
+              while not (Atomic.get go) do
+                Domain.cpu_relax ()
+              done;
+              for i = 0 to per - 1 do
+                f d i
+              done))
+    in
+    Atomic.set go true;
+    List.iter Domain.join ds
+  in
+  in_parallel (fun d i ->
+      let tk = take_ticket () in
+      Oplat.stamp_dequeue tk ~shard:d;
+      Oplat.stamp_apply tk;
+      Oplat.register tk ~lsn:(lsn d i) ~durable:(durable i);
+      Oplat.wal_staged ~lsn:(lsn d i);
+      Oplat.batch_admitted ~upto:(lsn d i));
+  let batch_end i = (i + 1) mod 100 = 0 in
+  in_parallel (fun d i ->
+      Oplat.mailbox_dwell 1e3;
+      if batch_end i then Oplat.force_completed ~upto:(lsn d i));
+  in_parallel (fun d i -> if batch_end i then Oplat.acked ~upto:(lsn d i));
   let r = Oplat.report () in
-  match r.Oplat.r_recovery with
-  | None -> Alcotest.fail "expected a recovery view"
-  | Some rv ->
-    Alcotest.(check bool) "finished" true rv.Oplat.rv_finished;
-    Alcotest.(check bool) "first op stamped" true (rv.Oplat.rv_first_op_ns <> None);
-    Alcotest.(check int) "two shards" 2 (List.length rv.Oplat.rv_shards);
-    let s1 = List.find (fun s -> s.Oplat.rp_shard = 1) rv.Oplat.rv_shards in
-    Alcotest.(check int) "shard 1 replayed" 5 s1.Oplat.rp_replayed;
-    Alcotest.(check int) "shard 1 remaining" 2 s1.Oplat.rp_remaining
+  let n = domains * per in
+  Alcotest.(check int) "completed" n r.Oplat.r_completed;
+  Alcotest.(check int) "end-to-end events" n r.Oplat.r_e2e.Oplat.sv_events;
+  List.iter
+    (fun (name, stamped) -> Alcotest.(check int) (name ^ " events") stamped (stage_events r name))
+    [ "dwell", n; "apply", n; "stage", n; "batch", n; "force", n; "ack", n / 2 ];
+  Alcotest.(check int) "mailbox dwell events" n r.Oplat.r_dwell.Oplat.sv_events;
+  Alcotest.(check int) "reservoir at its cap" Oplat.reservoir_cap (Oplat.trace_count ())
 
 let test_timeseries_and_json () =
   with_oplat @@ fun () ->
@@ -203,6 +258,7 @@ let suite =
     Alcotest.test_case "drain finalizes stragglers" `Quick test_drain_finalizes_stragglers;
     Alcotest.test_case "reservoir bound" `Quick test_reservoir_bound;
     Alcotest.test_case "recovery gauge" `Quick test_recovery_gauge;
+    Alcotest.test_case "concurrent finalization" `Quick test_concurrent_finalization;
     Alcotest.test_case "time series and json" `Quick test_timeseries_and_json;
     Alcotest.test_case "sharded service integration" `Quick test_service_integration;
   ]

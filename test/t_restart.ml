@@ -417,7 +417,7 @@ let fuzz_instant ~shards seed =
       Alcotest.(check bool) "awaited ticket survives" true (Log_manager.ticket_stable tk);
       raise_floor m key idx)
     !awaited;
-  (match Sharded_store.verify_recovery_invariant ~domains:2 store with
+  (match Sharded_store.verify_recovery_invariant store with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail ("recovery invariant: " ^ msg));
   ignore (Sharded_store.recover ~mode:`Instant store);

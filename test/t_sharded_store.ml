@@ -135,7 +135,7 @@ let fuzz ~shards seed =
     (fun (tk, key, idx) -> if Log_manager.ticket_stable tk then raise_floor m key idx)
     !held;
   (* The crashed store must satisfy the Recovery Invariant... *)
-  (match Sharded_store.verify_recovery_invariant ~domains:2 store with
+  (match Sharded_store.verify_recovery_invariant store with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail ("recovery invariant: " ^ msg));
   (* ...and recovery must reproduce the stable prefix's serial replay. *)
