@@ -637,7 +637,15 @@ let serve_bench shards ops keys theta partitions cache restart do_check do_triag
         List.init 4 (fun i -> SS.put_durable store (Printf.sprintf "tail%02d" i) "t")
       else []
     in
+    (* The crash checks frames and decodes none: a restart decodes only
+       what it redoes. *)
+    let count name = Redo_obs.Metrics.(count (counter name)) in
+    let checked0 = count "stable_log.frames_checked" in
+    let decoded0 = count "stable_log.frames_decoded" in
     if do_triage then SS.crash_torn store ~drop else SS.crash store;
+    Fmt.pr "  crash: %d frames checked, %d decoded@."
+      (count "stable_log.frames_checked" - checked0)
+      (count "stable_log.frames_decoded" - decoded0);
     if do_triage then begin
       let report =
         Triage.analyze ~flight:(Flight.scan ())
@@ -683,6 +691,8 @@ let serve_bench shards ops keys theta partitions cache restart do_check do_triag
       (* Instant restart: time the open, serve a hot read while the
          queues are still draining, then wait out the sweeper for the
          full time-to-recovery. *)
+      let decoded0 = count "stable_log.frames_decoded" in
+      let before = SS.stats store in
       let t_open = Unix.gettimeofday () in
       let r = SS.recover ~mode:`Instant store in
       let open_ns = (Unix.gettimeofday () -. t_open) *. 1e9 in
@@ -698,6 +708,16 @@ let serve_bench shards ops keys theta partitions cache restart do_check do_triag
       let ttfr_ns = (Unix.gettimeofday () -. t_open) *. 1e9 in
       Fmt.pr "  instant: recovery total in %a (%d demand drains, %d sweeper drains)@." pp_ns
         ttfr_ns demand swept;
+      (* Each record a drain applies is decoded once, there; the open
+         decodes the rest: the checkpoint and the shard records after
+         the redo start. *)
+      let after = SS.stats store in
+      let drained =
+        after.SS.records_redone - before.SS.records_redone + after.SS.records_skipped
+        - before.SS.records_skipped - r.SS.skipped
+      in
+      let decoded = count "stable_log.frames_decoded" - decoded0 in
+      Fmt.pr "  instant: frames decoded: open %d, drains %d@." (decoded - drained) drained;
       if SS.recovery_pending store <> 0 then begin
         Fmt.pr "  instant: PAGES STILL PENDING AFTER AWAIT@.";
         incr failures

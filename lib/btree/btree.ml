@@ -343,14 +343,16 @@ let recover t =
   (* Every record below the redo start is installed, so its pages are on
      disk (Corollary 4): the disk and the redo slice name every page the
      stable log does, without decoding the log below the slice. *)
-  let slice = Log_manager.records_from t.log ~from:(Redo_restart.Page_redo.scan_start t.log) in
+  let start = Redo_restart.Page_redo.scan_start t.log in
+  let slice = Log_manager.records_from t.log ~from:start in
   t.next_page <- high_water t slice + 1;
   let scanned = ref 0 and redone = ref 0 and skipped = ref 0 in
   (* A stable per-shard horizon proves the record installed without
      fetching the page. Perf-only for an LSN-tested method — the page's
      LSN is at least the covered record's, so the test below would skip
-     it anyway. *)
-  let horizons = Log_manager.stable_shard_horizons t.log in
+     it anyway. A shard record at or before the slice's start covers
+     none of it, so only those after it are read. *)
+  let horizons = Log_manager.stable_shard_horizons ~after:start t.log in
   let covered pid lsn =
     match List.assoc_opt pid horizons with Some h -> Lsn.(lsn <= h) | None -> false
   in

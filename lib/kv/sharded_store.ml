@@ -167,6 +167,9 @@ let await_recovery t =
   match Atomic.get t.restart with
   | None -> 0, 0
   | Some lr ->
+    (* A failed drain re-raises here and leaves the restart in place, so
+       its page keeps raising at every touch until a crash or close
+       stops it. *)
     ignore (Lazy_redo.await lr);
     let demand = Lazy_redo.demand_drains lr in
     let swept = Lazy_redo.sweeper_drains lr in
@@ -375,27 +378,55 @@ let crash_torn t ~drop = crash_with t ~torn:true ~drop
 
 (* ---- recovery ------------------------------------------------------- *)
 
-(* The lazy sibling of the eager replay closure below: drain one page's
-   queue under the same page-LSN redo test, on the page's owner domain,
-   without re-logging (these records are already stable). The plan
-   excluded everything surely on disk, so the only skips here are
-   records a previous partial restart already applied. *)
-let lazy_apply t ~shard ~pid:_ records =
-  let s = t.shard_arr.(shard) in
+(* Replay one page's or one shard's LSNs under the page-LSN redo test,
+   on the owner domain, without re-logging (these records are already
+   stable). The LSNs left are those [Page_redo.redo_pages] did not clear
+   as surely on disk: only they are decoded, each once, here. *)
+let replay_lsns (s : shard) a lsns =
   let redone = ref 0 and skipped = ref 0 in
   Array.iter
-    (fun r ->
-      match Record.payload r with
+    (fun lsn ->
+      match Record.payload (Page_redo.record a lsn) with
       | Record.Physiological { pid; op } ->
-        if Page_redo.redo_one s.cache ~pid ~lsn:(Record.lsn r) Page_op.apply op then
-          incr redone
+        if Page_redo.redo_one s.cache ~pid ~lsn Page_op.apply op then incr redone
         else incr skipped
       | _ -> assert false)
-    records;
-  Metrics.add c_replayed !redone;
-  ignore (Atomic.fetch_and_add t.redone !redone);
-  ignore (Atomic.fetch_and_add t.skipped !skipped);
+    lsns;
   !redone, !skipped
+
+(* The lazy drain of one page's queue. The plan excluded everything
+   surely on disk, so the only skips here are records a previous partial
+   restart already applied. *)
+let lazy_apply t a ~shard ~pid:_ lsns =
+  let redone, skipped = replay_lsns t.shard_arr.(shard) a lsns in
+  Metrics.add c_replayed redone;
+  ignore (Atomic.fetch_and_add t.redone redone);
+  ignore (Atomic.fetch_and_add t.skipped skipped);
+  redone, skipped
+
+(* The LSNs to redo, bucketed by owning shard in LSN order: count, then
+   fill exact-sized arrays. *)
+let shard_buckets t ~first pages =
+  let first = Lsn.to_int first in
+  let counts = Array.make t.nshards 0 in
+  Array.iter
+    (fun pid ->
+      if pid >= 0 then begin
+        let b = pid mod t.nshards in
+        counts.(b) <- counts.(b) + 1
+      end)
+    pages;
+  let buckets = Array.map (fun n -> Array.make n Lsn.zero) counts in
+  let fill = Array.make t.nshards 0 in
+  Array.iteri
+    (fun i pid ->
+      if pid >= 0 then begin
+        let b = pid mod t.nshards in
+        buckets.(b).(fill.(b)) <- Lsn.of_int (first + i);
+        fill.(b) <- fill.(b) + 1
+      end)
+    pages;
+  buckets
 
 let recover ?(mode = `Eager) t =
   ensure_open t;
@@ -412,21 +443,22 @@ let recover ?(mode = `Eager) t =
   Span.span "kv.recover"
     ~attrs:[ "shards", Span.Int t.nshards; "mode", Span.String mode_name ]
   @@ fun () ->
-  (* The analysis is read-only once built: sharing it with the worker
-     domains is safe. *)
+  (* The analysis is read-only once built, and reads the log through a
+     view that is safe on any domain: sharing it with the owner domains
+     is safe. It decodes only the checkpoint and the shard records it
+     needs; the replays below decode the records they redo. *)
   let a = Page_redo.analyze t.log ~pages:t.n_partitions in
-  let slice = Page_redo.slice a and analysis_scanned = Page_redo.analysis_scanned a in
+  let first, last = Page_redo.slice a in
+  let scanned = Int.max 0 (Lsn.to_int last - Lsn.to_int first + 1) in
+  let analysis_scanned = Page_redo.analysis_scanned a in
   match mode with
   | `Instant ->
     (* Instant restart: partition the redo slice into per-page queues
-       and return before replaying anything. Service resumes now; each
-       touched page drains on demand on its owner domain, and the
-       sweeper walks the cold tail hottest-first until the recovered
-       set is total. *)
-    let scanned = List.length slice in
-    let plan =
-      Lazy_redo.plan ~shards:t.nshards ~surely_on_disk:(Page_redo.surely_on_disk a) slice
-    in
+       of LSNs and return before replaying anything. Service resumes
+       now; each touched page drains on demand on its owner domain, and
+       the sweeper walks the cold tail hottest-first until the
+       recovered set is total. *)
+    let plan = Lazy_redo.plan_slice ~shards:t.nshards a in
     let preskipped = Lazy_redo.plan_preskipped plan in
     Atomic.incr t.recoveries;
     ignore (Atomic.fetch_and_add t.scanned scanned);
@@ -435,7 +467,7 @@ let recover ?(mode = `Eager) t =
       if Oplat.enabled () then Oplat.recovery_finished ()
     end
     else begin
-      let lr = Lazy_redo.create ~plan ~apply:(lazy_apply t) in
+      let lr = Lazy_redo.create ~plan ~apply:(lazy_apply t a) in
       Atomic.set t.restart (Some lr);
       (* The sweeper's touch is the same owner-domain fault a client
          takes, and it blocks per page, so a demand operation queued
@@ -448,69 +480,38 @@ let recover ?(mode = `Eager) t =
     end;
     { scanned; redone = 0; skipped = preskipped; analysis_scanned }
   | `Eager ->
-    (* Bucket the redo scan by owning shard — the plan [Core.Partition]
-       would compute, coarsened to the static shard boundaries (each
-       record touches one page; pages never change owner; so the buckets
-       are conflict-closed and replay in parallel by Theorem 3). *)
-    let buckets = Array.make t.nshards [] in
-    let scanned = ref 0 in
-    List.iter
-      (fun r ->
-        incr scanned;
-        match Record.payload r with
-        | Record.Physiological { pid; _ } ->
-          let i = pid mod t.nshards in
-          buckets.(i) <- r :: buckets.(i)
-        | Record.Checkpoint _ | Record.Shard_checkpoint _ -> ()
-        | payload ->
-          invalid_arg
-            (Fmt.str "sharded recovery: unexpected record %a" Record.pp_payload payload))
-      slice;
+    (* Bucket the redo slice's LSNs by owning shard — the plan
+       [Core.Partition] would compute, coarsened to the static shard
+       boundaries (each record touches one page; pages never change
+       owner; so the buckets are conflict-closed and replay in parallel
+       by Theorem 3). *)
+    let pages, preskipped = Page_redo.redo_pages a in
+    let buckets = shard_buckets t ~first pages in
     let parent = Span.current () in
-    let replay (s : shard) records () =
-      let redone = ref 0 and skipped = ref 0 in
-      List.iter
-        (fun r ->
-          match Record.payload r with
-          | Record.Physiological { pid; op } ->
-            let lsn = Record.lsn r in
-            if
-              (not (Page_redo.surely_on_disk a ~pid ~lsn))
-              && Page_redo.redo_one s.cache ~pid ~lsn Page_op.apply op
-            then incr redone
-            else incr skipped
-          | _ -> assert false)
-        records;
-      !redone, !skipped
-    in
     let results =
       let tickets =
         Array.mapi
           (fun i s ->
-            let records = List.rev buckets.(i) in
+            let lsns = buckets.(i) in
             Mailbox.call s.mailbox (fun () ->
                 if Span.enabled () then
                   Span.span ~parent "kv.shard.recover"
-                    ~attrs:
-                      [
-                        "shard", Span.Int s.index;
-                        "records", Span.Int (List.length records);
-                      ]
-                    (replay s records)
-                else replay s records ()))
+                    ~attrs:[ "shard", Span.Int s.index; "records", Span.Int (Array.length lsns) ]
+                    (fun () -> replay_lsns s a lsns)
+                else replay_lsns s a lsns))
           t.shard_arr
       in
       Array.map Mailbox.Ticket.await tickets
     in
     let redone = Array.fold_left (fun acc (r, _) -> acc + r) 0 results in
-    let skipped = Array.fold_left (fun acc (_, s) -> acc + s) 0 results in
+    let skipped = Array.fold_left (fun acc (_, s) -> acc + s) preskipped results in
     Metrics.add c_replayed redone;
     Atomic.incr t.recoveries;
-    ignore (Atomic.fetch_and_add t.scanned !scanned);
+    ignore (Atomic.fetch_and_add t.scanned scanned);
     ignore (Atomic.fetch_and_add t.redone redone);
     ignore (Atomic.fetch_and_add t.skipped skipped);
     if Oplat.enabled () then Oplat.recovery_finished ();
-    { scanned = !scanned; redone; skipped; analysis_scanned }
+    { scanned; redone; skipped; analysis_scanned }
 
 (* ---- certification -------------------------------------------------- *)
 

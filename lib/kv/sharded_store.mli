@@ -157,12 +157,19 @@ val recover : ?mode:[ `Eager | `Instant ] -> t -> recovery_stats
     under the page-LSN test {!Redo_restart.Page_redo.redo_one} — the
     same analysis and tests the physiological method recovers with.
 
-    - [`Eager]: bucket the stable records by owning shard and replay
-      all shards in parallel on their owner domains, each bucket in LSN
+    Nothing is decoded to plan the redo: the analysis and the buckets
+    or queues below work from the page ids peeked from the frames, and
+    decode only the checkpoint and the shard records after the redo
+    start. A record is decoded on the owner domain that redoes it, once,
+    after the horizon/DPT test, so a record the test clears is never
+    decoded.
+
+    - [`Eager]: bucket the slice's LSNs by owning shard and replay all
+      shards in parallel on their owner domains, each bucket in LSN
       order. Returns after the recovered set is total.
-    - [`Instant]: partition the same records into per-page queues
-      (excluding everything the horizon/DPT test already clears) and
-      return {e before replaying anything} — the store serves
+    - [`Instant]: partition the same records into per-page queues of
+      LSNs (excluding everything the horizon/DPT test already clears)
+      and return {e before replaying anything} — the store serves
       immediately. A page's queue drains on its owner domain the first
       time an operation touches the page, and a background sweeper
       drains the cold pages longest-queue-first until the recovered
@@ -184,6 +191,9 @@ val await_recovery : t -> int * int
 (** Block until the in-flight instant restart (if any) has drained
     every queue, then release its sweeper. Returns
     [(demand_drains, sweeper_drains)] — [(0, 0)] if none was running.
+    If a drain raised (a frame that does not read, say), re-raise that
+    exception instead, and leave the restart in place: its page stays
+    pending and raises at every touch until a crash or {!close}.
     Client domain only. {!checkpoint} and {!checkpoint_sharded} call
     this implicitly: a checkpoint taken mid-restart would record a
     dirty-page table that forgets the still-queued pages. *)

@@ -100,31 +100,29 @@ let crash_torn t ~drop =
 
 (* The analysis phase (Section 4.3) rebuilds the dirty-page table; the
    redo pass then starts at its oldest recLSN, skips records the table
-   or a per-shard horizon proves are on disk without fetching the page,
-   and falls back to the LSN redo test of Section 6.3: "If the page LSN
-   is at least as high as the operation's LSN, then the operation is
-   already installed and is bypassed during recovery." *)
+   or a per-shard horizon proves are on disk without fetching the page
+   or decoding the record, and falls back to the LSN redo test of
+   Section 6.3: "If the page LSN is at least as high as the operation's
+   LSN, then the operation is already installed and is bypassed during
+   recovery." *)
 let recover t =
   let a = Page_redo.analyze t.log ~pages:t.partitions in
-  let scanned = ref 0 and redone = ref 0 and skipped = ref 0 in
-  List.iter
-    (fun r ->
-      incr scanned;
-      match Record.payload r with
-      | Record.Physiological { pid; op } ->
-        let lsn = Record.lsn r in
-        if
-          (not (Page_redo.surely_on_disk a ~pid ~lsn))
-          && Page_redo.redo_one t.cache ~pid ~lsn Page_op.apply op
-        then incr redone
-        else incr skipped
-      | Record.Checkpoint _ | Record.Shard_checkpoint _ -> ()
-      | payload ->
-        invalid_arg
-          (Fmt.str "physiological recovery: unexpected record %a" Record.pp_payload payload))
-    (Page_redo.slice a);
+  let first, last = Page_redo.slice a in
+  let pages, preskipped = Page_redo.redo_pages a in
+  let redone = ref 0 and skipped = ref preskipped in
+  Array.iteri
+    (fun i pid ->
+      if pid >= 0 then begin
+        let lsn = Lsn.of_int (Lsn.to_int first + i) in
+        match Record.payload (Page_redo.record a lsn) with
+        | Record.Physiological { pid; op } ->
+          if Page_redo.redo_one t.cache ~pid ~lsn Page_op.apply op then incr redone
+          else incr skipped
+        | _ -> assert false
+      end)
+    pages;
   {
-    Method_intf.scanned = !scanned;
+    Method_intf.scanned = Int.max 0 (Lsn.to_int last - Lsn.to_int first + 1);
     redone = !redone;
     skipped = !skipped;
     analysis_scanned = Page_redo.analysis_scanned a;

@@ -15,10 +15,14 @@
 
     Threading: queues belong to their page's shard owner — {!ensure}
     must run on that owner domain (the single-writer discipline of the
-    shard cache). Only the pending counters, tallies and the stop flag
-    cross domains. The sweeper never touches a queue itself: it posts
-    every page through the caller's [touch], the same owner-domain path
-    a client fault takes. *)
+    shard cache). Only the pending counters, tallies, the stop flag and
+    a drain's failure cross domains. The sweeper never touches a queue
+    itself: it posts every page through the caller's [touch], the same
+    owner-domain path a client fault takes.
+
+    The queues hold LSNs, not records: a drain decodes its page's
+    records on the owner domain, so a restart decodes only what it
+    redoes. *)
 
 type trigger =
   | Demand  (** A client operation faulted on the page. *)
@@ -28,17 +32,26 @@ type trigger =
 
 type plan
 
+val plan_slice : shards:int -> Page_redo.t -> plan
+(** Partition the analysis's redo slice ({!Page_redo.slice}) into
+    per-page queues of LSNs, one sub-table per owning shard
+    ([pid mod shards]), from the records' peeked page ids: nothing is
+    decoded. Records for which {!Page_redo.surely_on_disk} holds — the
+    shard-horizon ∨ dirty-page-table test eager recovery applies — are
+    excluded up front and counted as preskipped; the queues partition
+    exactly the remainder. Checkpoint records are ignored. The build
+    counts, then fills exact-sized int arrays.
+    @raise Invalid_argument on a non-physiological operation record or
+    [shards <= 0]. *)
+
 val plan :
   shards:int ->
   surely_on_disk:(pid:int -> lsn:Redo_storage.Lsn.t -> bool) ->
   Redo_wal.Record.t list ->
   plan
-(** Partition a redo-scan slice (LSN order, analysis start to crash
-    LSN) into per-page queues, one sub-table per owning shard
-    ([pid mod shards]). Records for which [surely_on_disk] holds — the
-    store passes {!Page_redo.surely_on_disk}, the shard-horizon ∨
-    dirty-page-table test eager recovery applies — are excluded up front and counted as preskipped; the queues
-    partition exactly the remainder. Checkpoint records are ignored.
+(** {!plan_slice} over a list of decoded records in LSN order, with the
+    caller's [surely_on_disk] test: the same builder, fed the records'
+    page ids.
     @raise Invalid_argument on a non-physiological operation record or
     [shards <= 0]. *)
 
@@ -48,14 +61,11 @@ val plan_pages : plan -> int
 val plan_records : plan -> int
 (** Records across all queues. *)
 
-val plan_shard_records : plan -> int -> int
-(** Records queued for one shard's pages. *)
-
 val plan_preskipped : plan -> int
 (** Records the [surely_on_disk] test excluded. *)
 
-val plan_queue : plan -> int -> Redo_wal.Record.t list
-(** The page's queue in LSN order ([[]] if none). *)
+val plan_queue : plan -> int -> Redo_storage.Lsn.t list
+(** The page's queue, its records' LSNs in order ([[]] if none). *)
 
 val plan_queued_pids : plan -> int list
 (** Pages with queues, longest queue first — the sweep order. *)
@@ -65,12 +75,14 @@ val plan_queued_pids : plan -> int list
 type t
 
 val create :
-  plan:plan -> apply:(shard:int -> pid:int -> Redo_wal.Record.t array -> int * int) -> t
+  plan:plan ->
+  apply:(shard:int -> pid:int -> Redo_storage.Lsn.t array -> int * int) ->
+  t
 (** Take ownership of the plan's queues; every queued page starts
-    pending ({!pending_pages}, {!pending_total}). [apply] replays one
-    page's queue under the page-LSN redo test ({!Page_redo.redo_one})
-    and returns [(redone, skipped)]; it is invoked on whatever domain
-    calls {!ensure} — the shard owner's. *)
+    pending ({!pending_total}). [apply] replays one page's queue — it
+    decodes each LSN's record and applies it under the page-LSN redo
+    test ({!Page_redo.redo_one}) — and returns [(redone, skipped)]; it
+    is invoked on whatever domain calls {!ensure} — the shard owner's. *)
 
 val ensure : t -> pid:int -> trigger:trigger -> bool
 (** Drain the page's queue if it still has one; idempotent ([false] =
@@ -79,12 +91,16 @@ val ensure : t -> pid:int -> trigger:trigger -> bool
     inside [apply] cannot re-enter the drain. Emits a
     [Flight.Lazy_drain] frame, feeds the [restart.lazy_queue_depth]
     histogram and the demand/sweeper drain counters, and decrements
-    the pending counts. *)
+    the pending count.
 
-val pending_pages : t -> int -> int
-(** Pages of one shard still awaiting their drain. *)
+    If [apply] raises (a frame that does not read, say), the page stays
+    pending with its queue in place, so every later touch retries the
+    drain and raises in turn; the first such exception is recorded, the
+    sweep stops and {!await} wakes to re-raise it. The exception then
+    propagates to the caller. *)
 
 val pending_total : t -> int
+(** Pages still awaiting their drain. *)
 
 val finished : t -> bool
 (** The recovered set is total: every queue has been drained. *)
@@ -99,7 +115,8 @@ val sweeper_drains : t -> int
 val await : t -> bool
 (** Block until {!finished} or {!stop}; returns {!finished}. The caller
     must not be a shard owner domain (the drains it waits on run
-    there). *)
+    there). Re-raises the first exception a drain raised, as soon as
+    one has. *)
 
 val start_sweeper : t -> touch:(pid:int -> trigger:trigger -> unit) -> unit
 (** Start the background sweeper: one task on a private single-domain

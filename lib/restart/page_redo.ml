@@ -12,13 +12,14 @@ let scan_start log =
    once per scanned record on the restart open path, where a hash lookup
    per record is the difference between opening in milliseconds and
    tens of them. [Lsn.zero] = no horizon (every real record's LSN is
-   above it). *)
+   above it). The analysis reads only peeked page ids; the view it keeps
+   decodes a record when a replay asks for it. *)
 type t = {
+  view : Log_manager.view;
   dpt : Lsn.t option array;
   horizons : Lsn.t array;
   redo_start : Lsn.t;
   analysis_scanned : int;
-  slice : Record.t list;
 }
 
 let analyze log ~pages =
@@ -27,46 +28,79 @@ let analyze log ~pages =
     | None -> Lsn.zero, []
     | Some (lsn, { Record.dirty_pages; _ }) -> lsn, dirty_pages
   in
+  (* Taken after the checkpoint is found, so it holds the checkpoint and
+     everything stable after it. *)
+  let view = Log_manager.view log in
+  let last = Lsn.to_int (Log_manager.view_last view) in
   let tail_start = Lsn.next ckpt_lsn in
   let dpt = Array.make pages None in
-  List.iter (fun (pid, rec_lsn) -> dpt.(pid) <- Some rec_lsn) dpt0;
-  let tail = Log_manager.records_from log ~from:tail_start in
-  let scanned = ref 0 in
+  let in_range pid lsn =
+    if pid >= pages then
+      invalid_arg (Printf.sprintf "Page_redo.analyze: page %d of LSN %d is out of range" pid lsn)
+  in
   List.iter
-    (fun r ->
-      incr scanned;
-      match Record.payload r with
-      | Record.Physiological { pid; _ } ->
-        if dpt.(pid) = None then dpt.(pid) <- Some (Record.lsn r)
-      | _ -> ())
-    tail;
+    (fun (pid, rec_lsn) ->
+      in_range pid (Lsn.to_int ckpt_lsn);
+      dpt.(pid) <- Some rec_lsn)
+    dpt0;
+  for i = Lsn.to_int tail_start to last do
+    let pid = Log_manager.view_pid view (Lsn.of_int i) in
+    if pid >= 0 then begin
+      in_range pid i;
+      if dpt.(pid) = None then dpt.(pid) <- Some (Lsn.of_int i)
+    end
+  done;
   let redo_start =
     Array.fold_left
       (fun acc entry -> match entry with Some rec_lsn -> min acc rec_lsn | None -> acc)
       tail_start dpt
   in
   let horizons = Array.make pages Lsn.zero in
-  List.iter (fun (pid, h) -> horizons.(pid) <- h) (Log_manager.stable_shard_horizons log);
-  (* The redo slice extends the analysis tail down to the oldest recLSN
-     — identical to the tail when the checkpoint's dirty-page table
-     holds nothing older (the common case), so reuse it rather than
-     walking the log a second time. *)
-  let slice =
-    if Lsn.(tail_start <= redo_start) then tail
-    else Log_manager.records_from log ~from:redo_start
-  in
-  { dpt; horizons; redo_start; analysis_scanned = !scanned; slice }
+  List.iter
+    (fun (pid, h) -> horizons.(pid) <- h)
+    (Log_manager.stable_shard_horizons ~after:redo_start log);
+  { view; dpt; horizons; redo_start; analysis_scanned = Int.max 0 (last - Lsn.to_int ckpt_lsn) }
 
 let redo_start a = a.redo_start
 let analysis_scanned a = a.analysis_scanned
-let slice a = a.slice
+let slice a = a.redo_start, Log_manager.view_last a.view
 
-let surely_on_disk a ~pid ~lsn =
-  Lsn.(lsn <= a.horizons.(pid))
+(* The page a slice record touches, from its frame header: -1 for a
+   checkpoint record; any other non-page record is not for this path. *)
+let page a lsn =
+  let pid = Log_manager.view_pid a.view lsn in
+  if pid >= 0 then pid
+  else
+    match Log_manager.view_kind a.view lsn with
+    | Codec.Checkpoint | Codec.Shard_checkpoint -> -1
+    | Codec.Op ->
+      invalid_arg
+        (Fmt.str "Page_redo: unexpected record in the redo slice: %a" Record.pp
+           (Log_manager.view_record a.view lsn))
+
+let record a lsn = Log_manager.view_record a.view lsn
+
+(* Runs once per slice record on the open path: the LSNs compare as the
+   ints they are. *)
+let surely_on_disk a ~pid ~(lsn : Lsn.t) =
+  (lsn :> int) <= (a.horizons.(pid) :> int)
   ||
   match a.dpt.(pid) with
   | None -> true (* clean at the crash: all its updates were flushed *)
-  | Some rec_lsn -> Lsn.(lsn < rec_lsn)
+  | Some rec_lsn -> (lsn :> int) < (rec_lsn :> int)
+
+let redo_pages a =
+  let first, last = slice a in
+  let first = Lsn.to_int first and last = Lsn.to_int last in
+  let pages = Array.make (Int.max 0 (last - first + 1)) (-1) in
+  let preskipped = ref 0 in
+  for i = first to last do
+    let lsn = Lsn.of_int i in
+    let pid = page a lsn in
+    if pid >= 0 then
+      if surely_on_disk a ~pid ~lsn then incr preskipped else pages.(i - first) <- pid
+  done;
+  pages, !preskipped
 
 let redo_one cache ~pid ~lsn update arg =
   let stale = Lsn.(Page.lsn (Cache.read cache pid) < lsn) in

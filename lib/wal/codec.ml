@@ -357,15 +357,12 @@ let decode_window data ~pos ~len =
 
 (* --- peeking ---
 
-   A record is [i64 lsn | u8 payload tag | ...]. The header-only walk a
-   restart makes below the master record reads just these two fields. *)
+   A record is [i64 lsn | u8 payload tag | ...], and a physiological
+   record's next field is its [i64] page id. A restart reads just these
+   fields of each frame: its analysis and redo plans need nothing else,
+   and the operation is decoded only where a page is redone. *)
 
 type kind = Op | Checkpoint | Shard_checkpoint
-
-let payload_kind : Record.payload -> kind = function
-  | Record.Checkpoint _ -> Checkpoint
-  | Record.Shard_checkpoint _ -> Shard_checkpoint
-  | _ -> Op
 
 let peek_lsn data ~pos ~len =
   if len < size_i64 + size_u8 then -1 else Int64.to_int (Bytes.get_int64_be data pos)
@@ -375,5 +372,9 @@ let peek_kind data ~pos =
   | 5 -> Checkpoint
   | 7 -> Shard_checkpoint
   | _ -> Op
+
+let peek_pid data ~pos ~len =
+  if len < size_i64 + size_u8 + size_i64 || Bytes.get_uint8 data (pos + size_i64) <> 2 then -1
+  else max (-1) (Int64.to_int (Bytes.get_int64_be data (pos + size_i64 + size_u8)))
 
 let decode_record s = decode_window (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -23,8 +23,6 @@ type kind = Op | Checkpoint | Shard_checkpoint
 (** What a record is to the log's checkpoint index: a global
     [Checkpoint], a [Shard_checkpoint], or anything else. *)
 
-val payload_kind : Record.payload -> kind
-
 val peek_lsn : Bytes.t -> pos:int -> len:int -> int
 (** The LSN the record in bytes [pos..pos+len-1] starts with, read in
     place with no decode and no CRC check: the identity check of a
@@ -36,6 +34,12 @@ val peek_kind : Bytes.t -> pos:int -> kind
     alone. Meaningful only where {!peek_lsn} found a record. A tag the
     decoder would reject reads as [Op]; the frame's CRC reports it when
     the record is read. *)
+
+val peek_pid : Bytes.t -> pos:int -> len:int -> int
+(** The page id of the [Physiological] record in bytes [pos..pos+len-1],
+    read in place like {!peek_lsn}: the one field a redo plan needs
+    besides the LSN. [-1] for any other record, or a window too short to
+    hold the field. *)
 
 val encoded_size : Record.t -> int
 (** Exact wire size of the record (excluding framing), computed

@@ -42,18 +42,28 @@ type group = {
 }
 
 (* LSNs are dense (1, 2, 3, ...) and survivors of a crash are always a
-   prefix, so slot [i] holds the record with LSN [i+1]. Slots below
-   [base] are the frames a restore walked below the master record: each
-   keeps only its frame's offset and is decoded on read. Slots from
-   [base] on are decoded records in a growable array. Append pushes,
-   force walks only the newly stable slice, and the read paths are
-   slices — nothing filters or sorts the whole log. *)
+   prefix, so slot [i] holds the record with LSN [i+1]. A slot takes one
+   of two forms:
+   - a stable slot (below the stable horizon) keeps no record. Int
+     arrays hold its frame's offset in [medium] and its page word, both
+     peeked from the frame; the record is decoded from the frame on
+     read, with its CRC checked again. A restore fills these arrays and
+     decodes nothing;
+   - an unforced slot keeps its decoded record in [tail] until a force
+     writes its frame, moves the slot into the arrays and drops the
+     record.
+   Append pushes, force walks only the newly stable slice, and the read
+   paths are slices: nothing filters or sorts the whole log. *)
 type t = {
-  mutable offs : int array;  (* slots 0..base-1: frame offsets in [medium] *)
-  mutable base : int;
-  mutable arr : Record.t array;  (* slot i >= base is arr.(i - base) *)
+  mutable offs : int array;  (* stable slot -> its frame's offset in [medium] *)
+  mutable pages : int array;  (* stable slot -> its page word, see [page_word] *)
+  mutable walked : int;
+      (* slots below this were only header-walked by the last restore:
+         their frames' CRCs are unchecked *)
+  mutable tail : Record.t array;  (* unforced slot i is tail.(i - tail_base) *)
+  mutable tail_base : int;  (* <= the stable horizon *)
   mutable len : int;
-  capacity : int;  (* initial array size on first push *)
+  capacity : int;  (* initial array sizes *)
   mutable flushed : Lsn.t;  (* records with lsn <= flushed are stable *)
   mutable ckpts : int list;  (* slots of global checkpoint records, newest first *)
   mutable shard_ckpts : int list;  (* slots of shard checkpoint records, newest first *)
@@ -64,11 +74,32 @@ type t = {
 
 type ticket = { tk_log : t; tk_upto : Lsn.t }
 
+(* A stable slot's page word: the page id of a physiological record, or
+   one of these codes for the other kinds. *)
+let other_op = -1
+let global_ckpt = -2
+let shard_ckpt = -3
+
+let page_word ~(kind : Codec.kind) ~pid =
+  match kind with
+  | Op -> pid (* [Codec.peek_pid] is -1 = [other_op] for a non-page record *)
+  | Checkpoint -> global_ckpt
+  | Shard_checkpoint -> shard_ckpt
+
+let record_page_word r =
+  match Record.payload r with
+  | Record.Physiological { pid; _ } -> pid
+  | Record.Checkpoint _ -> global_ckpt
+  | Record.Shard_checkpoint _ -> shard_ckpt
+  | _ -> other_op
+
 let create ?(capacity = 16) () =
   {
     offs = [||];
-    base = 0;
-    arr = [||];
+    pages = [||];
+    walked = 0;
+    tail = [||];
+    tail_base = 0;
     len = 0;
     capacity = max 16 capacity;
     flushed = Lsn.zero;
@@ -97,26 +128,56 @@ let stats t =
 
 let medium t = t.medium
 
+(* Number of live slots covered by the stable horizon. *)
+let stable_len t = min (Lsn.to_int t.flushed) t.len
+
+(* Fills the tail slots that hold no unforced record. *)
+let vacant = Record.make ~lsn:Lsn.zero (Record.App_op { tag = ""; body = "" })
+
+(* Room for [n] stable slots. The arrays grow by copy, so a view taken
+   before keeps the old ones, which still hold every slot it names. *)
+let reserve t n =
+  let have = Array.length t.offs in
+  if n > have then begin
+    let cap = max n (max t.capacity (2 * have)) in
+    let grow a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 have;
+      b
+    in
+    t.offs <- grow t.offs;
+    t.pages <- grow t.pages
+  end
+
 let push t r =
-  let i = t.len - t.base in
-  if i = Array.length t.arr then begin
-    let arr = Array.make (max t.capacity (2 * i)) r in
-    Array.blit t.arr 0 arr 0 i;
-    t.arr <- arr
+  let i = t.len - t.tail_base in
+  if i = Array.length t.tail then begin
+    (* Full: drop the forced prefix, whose records the forces already
+       released, and grow only when the unforced records fill half the
+       array. Amortized O(1) per push. *)
+    let stable = stable_len t in
+    let live = t.len - stable and from = stable - t.tail_base in
+    if 2 * live < i then begin
+      Array.blit t.tail from t.tail 0 live;
+      Array.fill t.tail live (i - live) vacant
+    end
+    else begin
+      (* Filled with the pushed record, not [vacant]: a young fill makes
+         [Array.make] run a minor collection first, which the write
+         path's set-up time measurably depends on (EXPERIMENTS.md E21). *)
+      let tail = Array.make (max t.capacity (2 * i)) r in
+      Array.blit t.tail from tail 0 live;
+      t.tail <- tail
+    end;
+    t.tail_base <- stable
   end;
-  t.arr.(i) <- r;
+  t.tail.(t.len - t.tail_base) <- r;
   t.len <- t.len + 1
 
 let index_kind t slot : Codec.kind -> unit = function
   | Op -> ()
   | Checkpoint -> t.ckpts <- slot :: t.ckpts
   | Shard_checkpoint -> t.shard_ckpts <- slot :: t.shard_ckpts
-
-(* The record in [slot]: from the array, or decoded from its frame with
-   the CRC re-checked. *)
-let record t slot =
-  if slot >= t.base then t.arr.(slot - t.base)
-  else Stable_log.read_record t.medium ~offset:t.offs.(slot) ~lsn:(Lsn.of_int (slot + 1))
 
 let append_unlocked t payload =
   let lsn = Lsn.of_int (t.len + 1) in
@@ -150,9 +211,6 @@ let append t payload =
 let last_lsn t = Lsn.of_int t.len
 let flushed_lsn t = t.flushed
 
-(* Number of live slots covered by the stable horizon. *)
-let stable_len t = min (Lsn.to_int t.flushed) t.len
-
 (* The newest global checkpoint slot below [last], or -1. *)
 let rec newest_below last = function
   | slot :: older -> if slot >= last then newest_below last older else slot
@@ -165,9 +223,18 @@ let force_run t ~upto =
   let bytes_before = Stable_log.byte_size t.medium in
   let ckpt = newest_below last t.ckpts in
   let ckpt_offset = ref (-1) in
+  reserve t last;
+  (* Each record's frame goes to the medium, its slot into the arrays,
+     and the record itself is dropped. *)
   for i = first to last - 1 do
-    if i = ckpt then ckpt_offset := Stable_log.byte_size t.medium;
-    ignore (Stable_log.append_record t.medium t.arr.(i - t.base))
+    let j = i - t.tail_base in
+    let r = t.tail.(j) in
+    let offset = Stable_log.byte_size t.medium in
+    if i = ckpt then ckpt_offset := offset;
+    ignore (Stable_log.append_record t.medium r);
+    t.offs.(i) <- offset;
+    t.pages.(i) <- record_page_word r;
+    t.tail.(j) <- vacant
   done;
   (* The master moves only once the checkpoint's frame is on the medium;
      a crash before this write restarts from the previous master. *)
@@ -242,37 +309,36 @@ let detach_group t =
   | None -> ()
   | Some g -> g.g_detach ()
 
-(* Fills the array slots past the decoded tail that a restore frees. *)
-let vacant = Record.make ~lsn:Lsn.zero (Record.App_op { tag = ""; body = "" })
-
 let restore_from_medium t =
-  (* The medium is the source of truth after a crash. Below the master
-     record only frame headers are walked: each slot keeps its frame's
-     offset. From the master on, the frames that survive (and checksum)
-     refill the decoded array in place, in LSN order. *)
-  let stale = t.len - t.base in
+  (* The medium is the source of truth after a crash. The restore
+     decodes nothing: each surviving frame's offset and page word fill
+     the slot arrays in place, in LSN order. The lost epoch's unforced
+     records are dropped first, so they are garbage at once. *)
+  let stable = stable_len t in
+  Array.fill t.tail (stable - t.tail_base) (t.len - stable) vacant;
   t.len <- 0;
-  t.base <- 0;
   t.ckpts <- [];
   t.shard_ckpts <- [];
-  (match Stable_log.master t.medium with
-  | Some { Stable_log.ckpt_lsn; _ } when Array.length t.offs < Lsn.to_int ckpt_lsn ->
-    t.offs <- Array.make (Lsn.to_int ckpt_lsn) 0
-  | _ -> ());
-  Stable_log.restore t.medium
-    ~frame:(fun slot offset kind ->
-      t.offs.(slot) <- offset;
-      index_kind t slot kind;
-      t.base <- slot + 1;
-      t.len <- slot + 1)
-    ~push:(fun r ->
-      index_kind t t.len (Codec.payload_kind (Record.payload r));
-      push t r);
-  (* Drop the lost epoch's decoded records past the new tail, so they
-     are garbage at once. *)
-  let tail = t.len - t.base in
-  if stale > tail then Array.fill t.arr tail (stale - tail) vacant;
-  t.flushed <- Lsn.of_int t.len;
+  let walked =
+    match Stable_log.master t.medium with
+    | Some { Stable_log.ckpt_lsn; _ } -> Lsn.to_int ckpt_lsn - 1
+    | None -> 0
+  in
+  reserve t walked;
+  Fun.protect
+    ~finally:(fun () ->
+      (* Also when the restore reports a corrupt frame: the log then
+         holds the frames walked before it. *)
+      t.tail_base <- t.len;
+      t.flushed <- Lsn.of_int t.len;
+      t.walked <- min walked t.len)
+    (fun () ->
+      Stable_log.restore t.medium ~frame:(fun ~slot ~offset ~kind ~pid ->
+          if slot >= Array.length t.offs then reserve t (slot + 1);
+          t.offs.(slot) <- offset;
+          t.pages.(slot) <- page_word ~kind ~pid;
+          index_kind t slot kind;
+          t.len <- slot + 1));
   Atomic.set t.counters.a_stable_bytes (Stable_log.byte_size t.medium);
   Metrics.incr c_restores
 
@@ -299,44 +365,126 @@ let crash_torn t ~drop =
   notify_group_crash t;
   let before = Stable_log.byte_size t.medium in
   for i = Lsn.to_int t.flushed to t.len - 1 do
-    ignore (Stable_log.append_record t.medium t.arr.(i - t.base))
+    ignore (Stable_log.append_record t.medium t.tail.(i - t.tail_base))
   done;
   Stable_log.tear t.medium ~drop:(min drop (Stable_log.byte_size t.medium - before));
   restore_from_medium t
 
-let slice t ~lo ~hi =
-  (* Records in slots lo..hi-1, in LSN order. *)
-  let rec go i acc = if i < lo then acc else go (i - 1) (record t i :: acc) in
-  if hi <= lo then [] else go (hi - 1) []
+(* Readers on other domains than the committer's: a force may move
+   slots from the tail into the arrays, or grow them, so a reader holds
+   the committer's mutex while it looks at the slot fields. *)
+let reading t f =
+  match t.group with
+  | None -> f ()
+  | Some g ->
+    Mutex.lock g.g_mutex;
+    Fun.protect ~finally:(fun () -> Mutex.unlock g.g_mutex) f
 
-let stable_records t = slice t ~lo:0 ~hi:(stable_len t)
+(* ---- views ---------------------------------------------------------- *)
 
-let records_from t ~from =
-  slice t ~lo:(max 0 (Lsn.to_int from - 1)) ~hi:(stable_len t)
+(* A view holds the slot arrays and a snapshot of the medium as they
+   were when it was taken. Every slot below [v_stable] stays as it was
+   until the next restore: a force writes only slots at or above the
+   horizon (into these arrays, or into copies when they grow), and an
+   append writes only bytes past the snapshot's end (into these bytes,
+   or into a copy). So a view is read on any domain without a lock, and
+   without racing the committer. *)
+type view = {
+  v_medium : Stable_log.t;
+  v_offs : int array;
+  v_pages : int array;
+  v_stable : int;
+  v_walked : int;
+  v_ckpts : int list;
+  v_shard_ckpts : int list;
+}
 
-let all_records t = slice t ~lo:0 ~hi:t.len
+let capture t =
+  {
+    v_medium = Stable_log.snapshot t.medium;
+    v_offs = t.offs;
+    v_pages = t.pages;
+    v_stable = stable_len t;
+    v_walked = t.walked;
+    v_ckpts = t.ckpts;
+    v_shard_ckpts = t.shard_ckpts;
+  }
+
+let view t = reading t (fun () -> capture t)
+let view_last v = Lsn.of_int v.v_stable
+
+let view_slot v lsn =
+  let slot = Lsn.to_int lsn - 1 in
+  if slot < 0 || slot >= v.v_stable then
+    invalid_arg (Printf.sprintf "Log_manager: LSN %d is not a stable record of the view" (slot + 1));
+  slot
+
+let view_record_at v slot =
+  Stable_log.read_record v.v_medium ~offset:v.v_offs.(slot) ~lsn:(Lsn.of_int (slot + 1))
+
+let view_record v lsn = view_record_at v (view_slot v lsn)
+
+(* The page word, trusted: a frame the restore only header-walked has
+   its CRC checked before anything peeked from it is used. *)
+let view_word v lsn =
+  let slot = view_slot v lsn in
+  if slot < v.v_walked then
+    Stable_log.check_frame v.v_medium ~offset:v.v_offs.(slot) ~lsn:(Lsn.of_int (slot + 1));
+  v.v_pages.(slot)
+
+let view_pid v lsn =
+  let w = view_word v lsn in
+  if w >= 0 then w else other_op
+
+let view_kind v lsn : Codec.kind =
+  let w = view_word v lsn in
+  if w = global_ckpt then Checkpoint else if w = shard_ckpt then Shard_checkpoint else Op
+
+(* ---- readers --------------------------------------------------------- *)
+
+(* Stable records in slots lo..v_stable-1, in LSN order, decoded
+   through the view. *)
+let decode_from v ~lo =
+  let rec go i acc = if i < lo then acc else go (i - 1) (view_record_at v i :: acc) in
+  go (v.v_stable - 1) []
+
+let stable_records t = decode_from (view t) ~lo:0
+
+let records_from t ~from = decode_from (view t) ~lo:(max 0 (Lsn.to_int from - 1))
+
+let all_records t =
+  reading t (fun () ->
+      let v = capture t in
+      let rec unforced i acc =
+        if i < v.v_stable then acc else unforced (i - 1) (t.tail.(i - t.tail_base) :: acc)
+      in
+      decode_from v ~lo:0 @ unforced (t.len - 1) [])
 
 let last_stable_checkpoint t =
-  let stable = stable_len t in
-  match List.find_opt (fun slot -> slot < stable) t.ckpts with
+  let v = view t in
+  match List.find_opt (fun slot -> slot < v.v_stable) v.v_ckpts with
   | None -> None
   | Some slot ->
-    (match record t slot with
+    (match view_record_at v slot with
     | { Record.lsn; payload = Record.Checkpoint c } -> Some (lsn, c)
     | _ -> assert false)
 
-let stable_shard_checkpoints t =
-  let stable = stable_len t in
+(* Stable shard checkpoint records with LSN above [after], newest
+   first. *)
+let shard_records t ~after =
+  let v = view t in
   List.filter_map
     (fun slot ->
-      if slot >= stable then None
+      if slot >= v.v_stable || slot < after then None
       else
-        match record t slot with
+        match view_record_at v slot with
         | { Record.lsn; payload = Record.Shard_checkpoint sc } -> Some (lsn, sc)
         | _ -> assert false)
-    t.shard_ckpts
+    v.v_shard_ckpts
 
-let stable_shard_horizons t =
+let stable_shard_checkpoints t = shard_records t ~after:0
+
+let stable_shard_horizons ?(after = Lsn.zero) t =
   (* Newest-first + first-wins: each page's horizon is the newest stable
      shard record that claims it. *)
   let tbl = Hashtbl.create 16 in
@@ -346,7 +494,7 @@ let stable_shard_horizons t =
         (fun pid ->
           if not (Hashtbl.mem tbl pid) then Hashtbl.add tbl pid sc.Record.horizon)
         sc.Record.shard_pages)
-    (stable_shard_checkpoints t);
+    (shard_records t ~after:(Lsn.to_int after));
   Hashtbl.fold (fun pid h acc -> (pid, h) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 

@@ -31,11 +31,11 @@ type stats = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] (records, default 16) preallocates the volatile record
-    array and sizes the stable medium proportionally; both still grow
-    past it by doubling. A workload that knows its log volume up front
-    (recovery replays, bulk loads, benchmarks) avoids every growth copy
-    by passing it. *)
+(** [capacity] (records, default 16) preallocates the unforced-record
+    array and the stable slot arrays, and sizes the stable medium
+    proportionally; all still grow past it by doubling. A workload that
+    knows its log volume up front (recovery replays, bulk loads,
+    benchmarks) avoids every growth copy by passing it. *)
 
 val stats : t -> stats
 (** [appended_bytes]/[stable_bytes] use the exact {!Codec} wire sizes
@@ -96,20 +96,21 @@ val ticket_stable : ticket -> bool
 
 val crash : t -> unit
 (** Lose the volatile tail; the stable prefix survives. The surviving
-    records are re-read from the framed medium by {!Stable_log.restore}:
-    below the master record (the newest global checkpoint a completed
-    force put on the medium) only frame headers are walked, and each of
-    those records keeps just its frame's offset, to be decoded on read;
-    from the master's frame on, frames are checked and decoded, and only
-    those that checksum cleanly count. Recovery reads from the redo
-    start on, and by Corollary 4 nothing before it is needed, so a
-    restart decodes what it must redo rather than the whole log. With no
-    master the whole log is checked and decoded. Any group-staged async
-    requests are discarded first — a crash loses staged-but-unflushed
-    work, never completes it.
+    records are re-read from the framed medium by {!Stable_log.restore},
+    which decodes nothing: below the master record (the newest global
+    checkpoint a completed force put on the medium) only frame headers
+    are walked; from the master's frame on each frame's CRC is checked,
+    and only those that checksum cleanly count. Each surviving slot
+    keeps its frame's offset and its peeked kind and page id, and is
+    decoded when read. Recovery reads from the redo start on, and by
+    Corollary 4 nothing before it is needed, so a restart decodes only
+    the records it redoes. Any group-staged async requests are discarded
+    first — a crash loses staged-but-unflushed work, never completes
+    it.
     @raise Stable_log.Corrupt_frame if the walk below the master does
-    not land on the master's frame, or that frame does not check; the
-    medium is left untruncated. *)
+    not land on the master's frame, that frame does not check, or a
+    frame that checks carries the wrong LSN; the medium is left
+    untruncated. *)
 
 val crash_torn : t -> drop:int -> unit
 (** Crash while a final force of the whole unforced tail was in flight:
@@ -129,18 +130,23 @@ val medium : t -> Stable_log.t
 
 (** {2 Reading the log}
 
-    The readers below return records from the volatile array where a
-    record is decoded, and decode the rest from their frames, with the
-    CRC re-checked: the records a restart only walked past, below the
-    master. Records appended since stay decoded. A reader that meets a
-    corrupt frame raises {!Stable_log.Corrupt_frame}, naming its LSN
-    and offset; it never skips the frame or returns a wrong record. *)
+    A slot takes one of two forms. A stable slot keeps only its frame's
+    offset and the kind and page id peeked from it, in int arrays; the
+    readers decode its record from the frame, with the CRC re-checked.
+    An unforced slot keeps its decoded record until a force writes its
+    frame and drops it. A reader that meets a corrupt frame raises
+    {!Stable_log.Corrupt_frame}, naming its LSN and offset; it never
+    skips the frame or returns a wrong record.
+
+    While a group committer is attached, these readers hold its mutex
+    while they look at the slots, since a force moves them between
+    forms. *)
 
 val stable_records : t -> Record.t list
 (** Stable records in LSN order. *)
 
 val records_from : t -> from:Lsn.t -> Record.t list
-(** Stable records with LSN ≥ [from], in LSN order — the recovery scan.
+(** Stable records with LSN ≥ [from], in LSN order.
     O(records returned): a direct slice, not a filter of the whole log. *)
 
 val all_records : t -> Record.t list
@@ -152,16 +158,56 @@ val stable_shard_checkpoints : t -> (Lsn.t * Record.shard_ckpt) list
 (** All stable per-shard checkpoint records, newest first. A crash can
     tear off the trailing records of a sharded checkpoint (and its
     global summary) while earlier shard records survive — recovery then
-    degrades gracefully, shard by shard. Those below the master are
-    decoded on read: the restore's walk indexes checkpoint records by
-    their tag alone. *)
+    degrades gracefully, shard by shard. The restore indexes checkpoint
+    records by their peeked tag; each is decoded here. *)
 
-val stable_shard_horizons : t -> (int * Lsn.t) list
-(** Per-page install horizons from the stable shard records: for each
-    page claimed by any stable {!Record.Shard_checkpoint}, the horizon
-    of the newest record claiming it. Sorted by page id. Sound because
-    page LSNs are monotone: a later flush only extends the installed
-    prefix a horizon promises. *)
+val stable_shard_horizons : ?after:Lsn.t -> t -> (int * Lsn.t) list
+(** Per-page install horizons from the stable shard records with LSN
+    above [after] (default {!Lsn.zero}: all of them): for each page
+    claimed by such a {!Record.Shard_checkpoint}, the horizon of the
+    newest record claiming it. Sorted by page id. Sound because page
+    LSNs are monotone: a later flush only extends the installed prefix a
+    horizon promises.
+
+    A shard record's horizon lies below its own LSN (the installer
+    captures it before appending the record), so a record at or before
+    LSN [after] covers no record above it: a redo scan from [after] on
+    passes its start and reads only the shard records it can use. *)
+
+(** {2 Views}
+
+    A view is the stable prefix as it was when the view was taken: the
+    slot arrays and a {!Stable_log.snapshot} of the medium. Reading it
+    takes no lock and never races the committer, because a force writes
+    only slots above the view's end (into the same arrays, or into
+    copies when they grow) and an append writes only bytes past the
+    snapshot (into the same bytes, or into a copy). So the owner domains
+    of an instant restart decode their pages' records through a view
+    while other owners append and force. A view is valid until the next
+    crash of its log. *)
+
+type view
+
+val view : t -> view
+
+val view_last : view -> Lsn.t
+(** The newest stable LSN the view holds ({!Lsn.zero} for none). *)
+
+val view_pid : view -> Lsn.t -> int
+(** The page id of a stable [Physiological] record, peeked from its
+    frame without a decode; [-1] for any other record. A frame the
+    restore only header-walked (below the master) has its CRC checked
+    first, so the answer can be trusted.
+    @raise Stable_log.Corrupt_frame if that check fails.
+    @raise Invalid_argument for an LSN outside [\[1, view_last\]]. *)
+
+val view_kind : view -> Lsn.t -> Codec.kind
+(** The record's kind, peeked and checked like {!view_pid}. *)
+
+val view_record : view -> Lsn.t -> Record.t
+(** Decode a stable record from its frame, with its CRC checked.
+    @raise Stable_log.Corrupt_frame if the frame does not read.
+    @raise Invalid_argument for an LSN outside [\[1, view_last\]]. *)
 
 val stable_op_records : t -> int
 (** Stable records that are operations — i.e. not [Checkpoint] or

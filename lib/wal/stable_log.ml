@@ -11,8 +11,9 @@
    Beside the bytes sits the master cell: the LSN and frame offset of the
    newest forced global checkpoint. It is not part of the log, so it
    costs no log bytes. A restart walks only the frame headers below it
-   and checks and decodes from it on; the frames below are decoded when
-   a reader asks for them.
+   and checks frames from it on, peeking at each frame's LSN, kind and
+   page id; it decodes nothing. A frame is decoded when a reader asks
+   for it, with its CRC checked again.
 
    The medium is a growable byte array with an explicit length, so an
    append is one blit of the payload into the medium with its header
@@ -25,9 +26,9 @@ module Metrics = Redo_obs.Metrics
 module Span = Redo_obs.Span
 
 let c_frames = Metrics.counter "stable_log.frames_encoded"
+let c_checked = Metrics.counter "stable_log.frames_checked"
 let c_decoded = Metrics.counter "stable_log.frames_decoded"
 let c_scans = Metrics.counter "stable_log.scans"
-let c_scan_records = Metrics.counter "stable_log.scan_records"
 let c_torn_scans = Metrics.counter "stable_log.torn_scans"
 let c_truncated_bytes = Metrics.counter "stable_log.truncated_bytes"
 let h_scan_ns = Metrics.histogram "stable_log.scan_ns"
@@ -101,11 +102,13 @@ type scan_result = {
 let payload_length data pos = Int32.to_int (Bytes.get_int32_be data pos)
 let frame_crc data pos = Int32.to_int (Bytes.get_int32_be data (pos + 4)) land 0xFFFFFFFF
 
-(* The scan proper, from byte [from]: each frame's header bounds, CRC
-   and decode are checked in the medium's bytes — no payload is copied
-   out — and the surviving records go to [push] in order. Returns where
-   the trustworthy prefix ends and whether a torn tail follows it. *)
-let scan_frames t ~from ~push =
+(* The checked walk, from byte [from]: each frame's header bounds and
+   CRC are checked in the medium's bytes, and [frame pos payload_pos
+   payload_len] sees each frame that passes; it returns [false] to end
+   the walk at that frame. Returns where the trustworthy prefix ends and
+   whether a torn tail follows it. No payload is copied out, and nothing
+   is decoded here: {!scan} decodes in its callback, {!restore} peeks. *)
+let walk_checked t ~from ~frame =
   let t0 = Span.now_ns () in
   let data = t.data and len = t.len in
   let count = ref 0 in
@@ -118,25 +121,34 @@ let scan_frames t ~from ~push =
       if payload_len < 0 || payload_len > len - payload_pos then pos, true
       else if Checksum.update 0 data ~pos:payload_pos ~len:payload_len <> frame_crc data pos
       then pos, true
-      else
-        match Codec.decode_window data ~pos:payload_pos ~len:payload_len with
-        | record ->
-          push record;
-          incr count;
-          go (payload_pos + payload_len)
-        | exception Codec.Decode_error _ -> pos, true
+      else if not (frame pos payload_pos payload_len) then pos, true
+      else begin
+        incr count;
+        go (payload_pos + payload_len)
+      end
   in
   let end_pos, cut = go from in
   Metrics.incr c_scans;
-  Metrics.add c_scan_records !count;
-  Metrics.add c_decoded !count;
+  Metrics.add c_checked !count;
   if cut then Metrics.incr c_torn_scans;
   Metrics.observe h_scan_ns (Span.now_ns () -. t0);
   end_pos, cut
 
+(* A frame that passes its CRC but does not decode ends the scan as
+   torn: the scan is a diagnostic read of the whole medium, and reports
+   the prefix it could read. *)
 let scan t =
-  let acc = ref [] in
-  let valid_bytes, torn = scan_frames t ~from:0 ~push:(fun r -> acc := r :: !acc) in
+  let acc = ref [] and decoded = ref 0 in
+  let valid_bytes, torn =
+    walk_checked t ~from:0 ~frame:(fun _ pos len ->
+        match Codec.decode_window t.data ~pos ~len with
+        | record ->
+          acc := record :: !acc;
+          incr decoded;
+          true
+        | exception Codec.Decode_error _ -> false)
+  in
+  Metrics.add c_decoded !decoded;
   { records = List.rev !acc; valid_bytes; torn }
 
 (* The header-only walk of bytes [0, upto): per frame, the length must
@@ -156,13 +168,14 @@ let walk_headers t ~upto ~frames ~frame =
         corrupt lsn pos (Printf.sprintf "frame length %d overruns the master's offset" payload_len);
       let found = Codec.peek_lsn data ~pos:payload_pos ~len:payload_len in
       if found <> lsn then corrupt lsn pos (Printf.sprintf "frame starts with LSN %d" found);
-      frame slot pos (Codec.peek_kind data ~pos:payload_pos);
+      frame ~slot ~offset:pos ~kind:(Codec.peek_kind data ~pos:payload_pos)
+        ~pid:(Codec.peek_pid data ~pos:payload_pos ~len:payload_len);
       go (payload_pos + payload_len) lsn
     end
   in
   go 0 0
 
-let restore t ~frame ~push =
+let restore t ~frame =
   let upto, frames =
     match t.master with
     | None -> 0, 0
@@ -177,7 +190,20 @@ let restore t ~frame ~push =
     corrupt (walked + 1) upto
       (Printf.sprintf "the walk reached the master's offset at LSN %d; the master names LSN %d"
          (walked + 1) (frames + 1));
-  let end_pos, cut = scan_frames t ~from:upto ~push in
+  (* From the master's frame on, a frame that fails its bounds or CRC is
+     a torn tail; one that checks but does not carry its ordinal LSN was
+     written wrong, and is corruption. *)
+  let slot = ref frames in
+  let end_pos, cut =
+    walk_checked t ~from:upto ~frame:(fun pos payload_pos payload_len ->
+        let lsn = !slot + 1 in
+        let found = Codec.peek_lsn t.data ~pos:payload_pos ~len:payload_len in
+        if found <> lsn then corrupt lsn pos (Printf.sprintf "frame holds LSN %d" found);
+        frame ~slot:!slot ~offset:pos ~kind:(Codec.peek_kind t.data ~pos:payload_pos)
+          ~pid:(Codec.peek_pid t.data ~pos:payload_pos ~len:payload_len);
+        slot := lsn;
+        true)
+  in
   (* The master's frame was forced before the cell was written: it can
      be corrupt, never torn, and is never truncated away. *)
   if t.master <> None && end_pos = upto then
@@ -187,8 +213,12 @@ let restore t ~frame ~push =
     t.len <- end_pos
   end
 
-let read_record t ~offset ~lsn =
-  let data = t.data and len = t.len in
+(* The checks a reader makes before it trusts a frame: header bounds,
+   CRC, and the LSN the payload starts with. Returns the payload's
+   length; the payload starts [header_size] bytes into the frame. *)
+let checked_payload t ~offset ~lsn =
+  let data = t.data in
+  let len = t.len in
   let n = Lsn.to_int lsn in
   if offset < 0 || offset > len - header_size then
     corrupt n offset "frame header lies past the end of the log";
@@ -198,13 +228,23 @@ let read_record t ~offset ~lsn =
     corrupt n offset (Printf.sprintf "frame length %d runs past the end of the log" payload_len);
   if Checksum.update 0 data ~pos:payload_pos ~len:payload_len <> frame_crc data offset then
     corrupt n offset "CRC mismatch";
-  match Codec.decode_window data ~pos:payload_pos ~len:payload_len with
-  | exception Codec.Decode_error msg -> corrupt n offset ("does not decode: " ^ msg)
+  let found = Codec.peek_lsn data ~pos:payload_pos ~len:payload_len in
+  if found <> n then corrupt n offset (Printf.sprintf "frame holds LSN %d" found);
+  payload_len
+
+let check_frame t ~offset ~lsn =
+  ignore (checked_payload t ~offset ~lsn);
+  Metrics.incr c_checked
+
+let read_record t ~offset ~lsn =
+  let len = checked_payload t ~offset ~lsn in
+  match Codec.decode_window t.data ~pos:(offset + header_size) ~len with
+  | exception Codec.Decode_error msg -> corrupt (Lsn.to_int lsn) offset ("does not decode: " ^ msg)
   | record ->
-    if not (Lsn.equal (Record.lsn record) lsn) then
-      corrupt n offset (Printf.sprintf "frame holds LSN %d" (Lsn.to_int (Record.lsn record)));
     Metrics.incr c_decoded;
     record
+
+let snapshot t = { data = t.data; len = t.len; master = t.master }
 
 let corrupt_byte t ~pos =
   if pos < 0 || pos >= t.len then invalid_arg "Stable_log.corrupt_byte";

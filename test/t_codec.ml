@@ -200,14 +200,18 @@ let test_stable_log_roundtrip () =
 let test_stable_log_torn_tail () =
   let log = Stable_log.create () in
   let rng = Random.State.make [| 6 |] in
-  let records = List.init 10 (fun _ -> rand_record rng) in
+  (* The restore checks that each frame carries its ordinal LSN, as a
+     log manager writes them. *)
+  let records =
+    List.init 10 (fun i -> Record.make ~lsn:(Lsn.of_int (i + 1)) (rand_payload rng))
+  in
   List.iter (fun r -> ignore (Stable_log.append_record log r)) records;
   Stable_log.tear log ~drop:3;
   let result = Stable_log.scan log in
   Alcotest.(check bool) "torn detected" true result.Stable_log.torn;
   Alcotest.(check int) "one record lost" 9 (List.length result.Stable_log.records);
   let survivors = ref 0 in
-  Stable_log.restore log ~frame:(fun _ _ _ -> ()) ~push:(fun _ -> incr survivors);
+  Stable_log.restore log ~frame:(fun ~slot:_ ~offset:_ ~kind:_ ~pid:_ -> incr survivors);
   Alcotest.(check int) "medium truncated" 9 !survivors;
   Alcotest.(check bool) "clean after truncation" false (Stable_log.scan log).Stable_log.torn
 

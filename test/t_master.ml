@@ -8,6 +8,10 @@
      makes the header walk miss the master's offset, and a flipped byte
      in the master's own frame fails its CRC; the crash reports either
      without truncating any forced frame.
+   - Faults from the master on: a frame that checks but carries the
+     wrong LSN is reported by the crash; one that checks but does not
+     decode survives it and is reported by whatever reads it. Neither is
+     truncated as a torn tail.
    - A stale master (a crash that beat the master write, modelled by
      rolling the cell back to an older checkpoint or clearing it)
      restarts to exactly what the current master does: the same stable
@@ -15,11 +19,13 @@
      contents, for all
      four methods and both sharded restart modes, after clean and torn
      crashes.
-   - The restore decodes nothing below the master: one crash plus an
-     eager recovery decodes the frames from the master on plus the
-     checkpoint frames recovery reads below it, and recovers what a full
-     scan recovers. A generalized (B-tree) recovery likewise decodes
-     below the master only its redo slice and the shard checkpoints. *)
+   - The analysis reads only the shard records after the redo start,
+     and clears the same slice records as all of them would.
+   - A restart decodes only what it redoes: a crash decodes nothing, an
+     open only the checkpoint and the shard records after the redo
+     start, and the drains or the eager replay each record they redo,
+     once. A generalized (B-tree) recovery decodes its redo slice, the
+     checkpoint and the shard records after the slice starts. *)
 
 open Redo_storage
 open Redo_wal
@@ -28,6 +34,7 @@ module Registry = Redo_methods.Registry
 module Method_intf = Redo_methods.Method_intf
 module Page_redo = Redo_restart.Page_redo
 module Metrics = Redo_obs.Metrics
+module Theory_check = Redo_methods.Theory_check
 
 let payload_put k v = Record.Physiological { pid = 0; op = Page_op.Put (k, v) }
 
@@ -215,7 +222,10 @@ let read_back log ~pages =
     Log_manager.stable_op_records log,
     Option.map (fun (lsn, _) -> Lsn.to_int lsn) (Log_manager.last_stable_checkpoint log),
     List.map (fun (pid, h) -> pid, Lsn.to_int h) (Log_manager.stable_shard_horizons log),
-    (Lsn.to_int (Page_redo.redo_start a), Page_redo.analysis_scanned a, encoded (Page_redo.slice a)) )
+    ( Lsn.to_int (Page_redo.redo_start a),
+      Page_redo.analysis_scanned a,
+      encoded (Log_manager.records_from log ~from:(fst (Page_redo.slice a))),
+      Lsn.to_int (snd (Page_redo.slice a)) ) )
 
 let prop_stale_master_method name seed =
   let rng = Random.State.make [| 0x57a1e; seed |] in
@@ -280,19 +290,199 @@ let prop_stale_master_sharded ~mode seed =
       ignore (Sharded_store.await_recovery store);
       read, stats, Sharded_store.dump store)
 
-(* ---- decodes per crash ----------------------------------------------- *)
+(* ---- frames from the master on --------------------------------------- *)
 
-let test_decodes_per_crash () =
+(* Rewrite the stable log from the frame of [lsn] on: that frame gets
+   [payload] (framed with a valid CRC) and the frames after it are
+   appended again as they were. Returns the frame's offset. *)
+let rewrite_frame log ~lsn payload =
+  let medium = Log_manager.medium log in
+  let records = Log_manager.stable_records log in
+  let offset = List.assoc lsn (frame_offsets log) in
+  Stable_log.tear medium ~drop:(Stable_log.byte_size medium - offset);
+  List.iter
+    (fun r ->
+      let l = Lsn.to_int (Record.lsn r) in
+      if l = lsn then ignore (Stable_log.append medium payload)
+      else if l > lsn then ignore (Stable_log.append_record medium r))
+    records;
+  offset
+
+let test_undecodable_frame_from_master () =
+  (* A put after the master, its payload shortened by one byte under a
+     recomputed CRC, with valid frames after it: corruption, not a torn
+     tail. The crash keeps it, and whatever reads it reports it. *)
+  Util.with_timeout ~seconds:60. "undecodable frame" @@ fun () ->
+  with_checkpointed_store @@ fun store ->
+  let log = Sharded_store.log store in
+  let medium = Log_manager.medium log in
+  let lsn = master_lsn medium + 5 in
+  let r = List.nth (Log_manager.stable_records log) (lsn - 1) in
+  let key =
+    match Record.payload r with
+    | Record.Physiological { op = Page_op.Put (k, _); _ } -> k
+    | _ -> Alcotest.fail "not a put"
+  in
+  let full = Codec.encode_record r in
+  let offset = rewrite_frame log ~lsn (String.sub full 0 (String.length full - 1)) in
+  let bytes = Stable_log.contents medium in
+  let stable = Lsn.to_int (Log_manager.flushed_lsn log) in
+  Sharded_store.crash store;
+  Alcotest.(check bool) "never truncated" true (Stable_log.contents medium = bytes);
+  Alcotest.(check int) "it survives the crash" stable (Lsn.to_int (Log_manager.flushed_lsn log));
+  expect_corrupt "its reader" ~lsn ~offset (fun () ->
+      Log_manager.records_from log ~from:(Lsn.of_int lsn));
+  expect_corrupt "an eager recovery" ~lsn ~offset (fun () -> Sharded_store.recover store);
+  Sharded_store.crash store;
+  ignore (Sharded_store.recover ~mode:`Instant store);
+  expect_corrupt "a get on its page" ~lsn ~offset (fun () -> Sharded_store.get store key);
+  expect_corrupt "await_recovery" ~lsn ~offset (fun () -> Sharded_store.await_recovery store);
+  Sharded_store.crash store;
+  Alcotest.(check bool) "still never truncated" true (Stable_log.contents medium = bytes)
+
+let test_wrong_lsn_from_master () =
+  (* A frame after the master that checks but carries another LSN was
+     written wrong: the crash reports it and truncates nothing. *)
+  let log = Log_manager.create () in
+  for i = 1 to 30 do
+    ignore (Log_manager.append log (payload_put (key i) "v"))
+  done;
+  ignore (Log_manager.append log (Record.Checkpoint { dirty_pages = []; note = "m" }));
+  for i = 31 to 40 do
+    ignore (Log_manager.append log (payload_put (key i) "w"))
+  done;
+  Log_manager.force_all log;
+  let medium = Log_manager.medium log in
+  Alcotest.(check int) "the checkpoint is the master" 31 (master_lsn medium);
+  let r = List.nth (Log_manager.stable_records log) 34 in
+  let offset =
+    rewrite_frame log ~lsn:35
+      (Codec.encode_record (Record.make ~lsn:(Lsn.of_int 36) (Record.payload r)))
+  in
+  let bytes = Stable_log.contents medium in
+  expect_corrupt "the crash" ~lsn:35 ~offset (fun () -> Log_manager.crash log);
+  Alcotest.(check bool) "nothing truncated" true (Stable_log.contents medium = bytes)
+
+(* ---- shard horizons from the redo start on ----------------------------- *)
+
+(* A crash that tore a sharded checkpoint's final force: its shard
+   records reached the medium, its summary checkpoint did not, and the
+   master write after the force never happened. Call right after
+   [checkpoint_sharded], whose summary is then the medium's last frame
+   and its master. *)
+let tear_summary medium ~previous =
+  match Stable_log.master medium with
+  | Some { Stable_log.offset; _ } ->
+    Stable_log.tear medium ~drop:(Stable_log.byte_size medium - offset);
+    Stable_log.set_master medium previous
+  | None -> Alcotest.fail "no summary to tear"
+
+(* The analysis reads only the shard records after the redo start. Over
+   random stores mixing fuzzy and sharded checkpoints, half of them
+   ending in a torn summary (so that shard records lie after the redo
+   start), the filtered horizons clear exactly the slice records all of
+   them clear, and both restart modes report the same work. *)
+let prop_horizons_from_redo_start seed =
+  let rng = Random.State.make [| 0x40121; seed |] in
+  let partitions = 8 in
+  let store = Sharded_store.create ~shards:2 ~partitions ~cache_capacity:partitions () in
+  Fun.protect ~finally:(fun () -> Sharded_store.close store) @@ fun () ->
+  let log = Sharded_store.log store in
+  let medium = Log_manager.medium log in
+  for step = 1 to 60 + Random.State.int rng 80 do
+    let k = key (Random.State.int rng 40) in
+    match Random.State.int rng 100 with
+    | r when r < 60 -> Sharded_store.put store k (string_of_int step)
+    | r when r < 70 -> Sharded_store.delete store k
+    | r when r < 80 -> Log_manager.await (Sharded_store.put_durable store k "d")
+    | r when r < 88 -> Sharded_store.checkpoint store
+    | r when r < 95 -> ignore (Sharded_store.checkpoint_sharded store)
+    | _ -> Sharded_store.sync store
+  done;
+  let torn = Random.State.bool rng in
+  if torn then begin
+    for i = 1 to 5 do
+      Sharded_store.put store (key i) "last"
+    done;
+    let previous = Stable_log.master medium in
+    ignore (Sharded_store.checkpoint_sharded store);
+    tear_summary medium ~previous
+  end;
+  Sharded_store.crash store;
+  let a = Page_redo.analyze log ~pages:partitions in
+  let start = Page_redo.redo_start a in
+  if torn then
+    Alcotest.(check bool) "shard records lie after the redo start" true
+      (List.exists
+         (fun (lsn, _) -> Lsn.(start < lsn))
+         (Log_manager.stable_shard_checkpoints log));
+  let every = Log_manager.stable_shard_horizons log in
+  let preskipped = ref 0 in
+  List.iter
+    (fun r ->
+      match Record.payload r with
+      | Record.Physiological { pid; _ } ->
+        let lsn = Record.lsn r in
+        let filtered = Page_redo.surely_on_disk a ~pid ~lsn in
+        let all =
+          filtered
+          || match List.assoc_opt pid every with Some h -> Lsn.(lsn <= h) | None -> false
+        in
+        Alcotest.(check bool) (Printf.sprintf "verdict on LSN %d" (Lsn.to_int lsn)) all filtered;
+        if filtered then incr preskipped
+      | _ -> ())
+    (Log_manager.records_from log ~from:start);
+  let eager = Sharded_store.recover store in
+  Sharded_store.crash store;
+  let before = Sharded_store.stats store in
+  let instant = Sharded_store.recover ~mode:`Instant store in
+  ignore (Sharded_store.await_recovery store);
+  let after = Sharded_store.stats store in
+  let drained_redone = after.records_redone - before.records_redone in
+  let drained_skipped = after.records_skipped - before.records_skipped - instant.skipped in
+  Alcotest.(check int) "preskipped = the records every horizon clears" !preskipped instant.skipped;
+  Alcotest.(check (list int)) "eager = instant: scanned, redone, skipped, analysis_scanned"
+    [ eager.scanned; eager.redone; eager.skipped; eager.analysis_scanned ]
+    [ instant.scanned; drained_redone; instant.skipped + drained_skipped; instant.analysis_scanned ];
+  Theory_check.certificate_ok (Sharded_store.certify store ~phase:`Recovered)
+
+(* ---- decodes per restart ------------------------------------------------ *)
+
+(* Run [f] and count the frames it decoded. *)
+let decodes f =
   let decoded = Metrics.counter "stable_log.frames_decoded" in
+  let before = Metrics.count decoded in
+  let r = f () in
+  r, Metrics.count decoded - before
+
+(* What an open decodes: the analysis decodes the checkpoint and the
+   shard records after the redo start, and nothing else. Returns the
+   analysis. *)
+let open_decodes log ~pages =
+  let a, n = decodes (fun () -> Page_redo.analyze log ~pages) in
+  let after =
+    List.length
+      (List.filter
+         (fun (lsn, _) -> Lsn.(Page_redo.redo_start a < lsn))
+         (Log_manager.stable_shard_checkpoints log))
+  in
+  Alcotest.(check int) "the analysis decodes the checkpoint and the shard records after the redo start"
+    (1 + after) n;
+  a, 1 + after
+
+let test_decodes_per_restart () =
   let partitions = 16 in
   let store = Sharded_store.create ~shards:2 ~partitions ~cache_capacity:partitions () in
   Fun.protect ~finally:(fun () -> Sharded_store.close store) @@ fun () ->
   let log = Sharded_store.log store in
   let medium = Log_manager.medium log in
-  for round = 1 to 6 do
+  let fill round =
     for i = 1 to 150 do
       Sharded_store.put store (key ((round * 37) + i)) (string_of_int round)
-    done;
+    done
+  in
+  for round = 1 to 6 do
+    fill round;
     (* Fuzzy and sharded checkpoints alternate; the last, the master,
        is sharded, so its empty dirty-page table starts redo right
        after it. *)
@@ -303,31 +493,47 @@ let test_decodes_per_crash () =
     Sharded_store.put store (key i) "tail"
   done;
   Sharded_store.sync store;
-  let master = master_lsn medium in
-  let stable = Lsn.to_int (Log_manager.flushed_lsn log) in
-  let shard_records_below =
-    List.length
-      (List.filter
-         (fun (lsn, _) -> Lsn.to_int lsn < master)
-         (Log_manager.stable_shard_checkpoints log))
+  (* Instant: the crash decodes nothing, the open its analysis, and the
+     drains the plan's records, each once. *)
+  let instant what =
+    let (), n = decodes (fun () -> Sharded_store.crash store) in
+    Alcotest.(check int) (what ^ ": the crash decodes nothing") 0 n;
+    let a, opened = open_decodes log ~pages:partitions in
+    let plan, n = decodes (fun () -> Redo_restart.Lazy_redo.plan_slice ~shards:2 a) in
+    Alcotest.(check int) (what ^ ": the plan decodes nothing") 0 n;
+    let queued = Redo_restart.Lazy_redo.plan_records plan in
+    let before = Sharded_store.stats store in
+    let st, n =
+      decodes (fun () ->
+          let st = Sharded_store.recover ~mode:`Instant store in
+          ignore (Sharded_store.await_recovery store);
+          st)
+    in
+    let after = Sharded_store.stats store in
+    Alcotest.(check int) (what ^ ": the drains apply the plan's records") queued
+      (after.records_redone - before.records_redone + after.records_skipped
+     - before.records_skipped - st.skipped);
+    Alcotest.(check int) (what ^ ": the open and the drains decode the analysis and the plan")
+      (opened + queued) n;
+    opened
   in
-  Alcotest.(check bool) "shard records lie below the master" true (shard_records_below > 0);
-  let before = Metrics.count decoded in
-  Sharded_store.crash store;
-  let from_master = Metrics.count decoded - before in
-  let stats = Sharded_store.recover store in
-  Alcotest.(check int) "the crash decodes the frames from the master on"
-    (stable - master + 1) from_master;
-  Alcotest.(check int) "recovery decodes only the shard checkpoints below the master"
-    shard_records_below
-    (Metrics.count decoded - before - from_master);
+  Alcotest.(check int) "no shard record after the redo start" 1 (instant "clean");
+  (* Eager: the crash decodes nothing, and the recovery the analysis and
+     each slice record it does not clear as surely on disk, once. *)
+  let (), n = decodes (fun () -> Sharded_store.crash_torn store ~drop:3) in
+  Alcotest.(check int) "a torn crash decodes nothing" 0 n;
+  let a, opened = open_decodes log ~pages:partitions in
+  let pages, _ = Page_redo.redo_pages a in
+  let to_redo = Array.fold_left (fun n pid -> if pid >= 0 then n + 1 else n) 0 pages in
+  Alcotest.(check bool) "the eager recovery has records to redo" true (to_redo > 0);
+  let stats, n = decodes (fun () -> Sharded_store.recover store) in
+  Alcotest.(check int) "an eager recovery decodes the analysis and the records it redoes"
+    (opened + to_redo) n;
   (* The full-scan reference: the same crash and recovery with no
-     master, which decodes every frame at the crash. *)
+     master. It decodes nothing at the crash either. *)
   Stable_log.set_master medium None;
-  let before = Metrics.count decoded in
-  Sharded_store.crash store;
-  Alcotest.(check int) "a crash without a master decodes the whole log" stable
-    (Metrics.count decoded - before);
+  let (), n = decodes (fun () -> Sharded_store.crash store) in
+  Alcotest.(check int) "a crash without a master decodes nothing" 0 n;
   let reference = Sharded_store.recover store in
   Alcotest.(check (list int)) "scanned/redone/skipped/analysis_scanned as a full scan"
     [
@@ -336,14 +542,21 @@ let test_decodes_per_crash () =
       reference.skipped;
       reference.analysis_scanned;
     ]
-    [ stats.scanned; stats.redone; stats.skipped; stats.analysis_scanned ]
+    [ stats.scanned; stats.redone; stats.skipped; stats.analysis_scanned ];
+  (* A sharded checkpoint whose summary the crash tore off: its shard
+     records lie after the redo start, and the open decodes them. *)
+  fill 7;
+  ignore (Sharded_store.checkpoint store);
+  fill 8;
+  let previous = Stable_log.master medium in
+  ignore (Sharded_store.checkpoint_sharded store);
+  tear_summary medium ~previous;
+  Alcotest.(check bool) "shard records after the redo start" true (instant "torn summary" > 1)
 
 (* The B-tree takes its next page id from the disk and the redo slice,
-   so a generalized recovery decodes below the master only the redo
-   slice's frames there and the shard checkpoints behind the horizons,
-   not the whole log. *)
+   so a generalized recovery decodes the redo slice, the checkpoint and
+   the shard records after the redo start: nothing below the slice. *)
 let test_generalized_recover_decodes () =
-  let decoded = Metrics.counter "stable_log.frames_decoded" in
   let i = Registry.find "generalized" ~cache_capacity:512 ~partitions:8 () in
   let log = Method_intf.instance_log i in
   let medium = Log_manager.medium log in
@@ -360,24 +573,24 @@ let test_generalized_recover_decodes () =
     Method_intf.instance_put i (key k) "tail"
   done;
   Method_intf.instance_sync i;
-  Method_intf.instance_crash i;
+  let (), n = decodes (fun () -> Method_intf.instance_crash i) in
+  Alcotest.(check int) "the crash decodes nothing" 0 n;
   let master = master_lsn medium in
-  let scan_below = master - Lsn.to_int (Page_redo.scan_start log) in
-  let shard_below =
+  let start = Lsn.to_int (Page_redo.scan_start log) in
+  let stable = Lsn.to_int (Log_manager.flushed_lsn log) in
+  let shard_after =
     List.length
       (List.filter
-         (fun (lsn, _) -> Lsn.to_int lsn < master)
+         (fun (lsn, _) -> Lsn.to_int lsn > start)
          (Log_manager.stable_shard_checkpoints log))
   in
-  Alcotest.(check bool) "the redo slice starts below the master" true (scan_below > 0);
-  Alcotest.(check bool) "shard records lie below the master" true (shard_below > 0);
-  Alcotest.(check bool) "the log below the master holds more than both" true
-    (master - 1 > scan_below + shard_below);
-  let before = Metrics.count decoded in
-  let stats = Method_intf.instance_recover i in
-  Alcotest.(check int) "recovery decodes the redo slice and shard records below the master"
-    (scan_below + shard_below)
-    (Metrics.count decoded - before);
+  Alcotest.(check bool) "the redo slice starts below the master" true (start < master);
+  Alcotest.(check bool) "the log below the slice holds more than the shard records" true
+    (start - 1 > shard_after);
+  let stats, n = decodes (fun () -> Method_intf.instance_recover i) in
+  Alcotest.(check int) "recovery decodes the checkpoint, the slice and the shard records after it"
+    (1 + (stable - start + 1) + shard_after)
+    n;
   let contents = Method_intf.instance_dump i in
   (* The full-scan reference: the same crash and recovery with no
      master. *)
@@ -408,7 +621,13 @@ let suite =
       (prop_stale_master_sharded ~mode:`Eager);
     Util.qtest ~count:20 "stale master = current: sharded instant"
       (prop_stale_master_sharded ~mode:`Instant);
-    Alcotest.test_case "one crash decodes from the master on" `Quick test_decodes_per_crash;
+    Alcotest.test_case "a restart decodes only what it redoes" `Quick test_decodes_per_restart;
     Alcotest.test_case "generalized recovery decodes its redo slice" `Quick
       test_generalized_recover_decodes;
+    Alcotest.test_case "undecodable frame after the master: kept, reported on read" `Quick
+      test_undecodable_frame_from_master;
+    Alcotest.test_case "wrong LSN after the master: reported by the crash" `Quick
+      test_wrong_lsn_from_master;
+    Util.qtest ~count:30 "shard horizons from the redo start on: same verdicts and work"
+      prop_horizons_from_redo_start;
   ]

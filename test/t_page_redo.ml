@@ -56,7 +56,8 @@ let test_analysis_old_rec_lsn () =
   Alcotest.check lsn_t "scan_start agrees" (Lsn.of_int 2) (Page_redo.scan_start log);
   Alcotest.(check (list int))
     "the slice runs from the recLSN to the end" [ 2; 3; 4; 5; 6; 7; 8 ]
-    (List.map (fun r -> Lsn.to_int (Record.lsn r)) (Page_redo.slice a));
+    (let first, last = Page_redo.slice a in
+     List.init (Lsn.to_int last - Lsn.to_int first + 1) (fun i -> Lsn.to_int first + i));
   Alcotest.(check int) "analysis reads only records after the checkpoint" 3
     (Page_redo.analysis_scanned a)
 
@@ -85,7 +86,8 @@ let test_scan_start_without_table () =
   Alcotest.check lsn_t "empty table: the record after the checkpoint" (Lsn.of_int 3)
     (Page_redo.scan_start log);
   let a = Page_redo.analyze log ~pages:1 in
-  Alcotest.(check int) "empty tail" 0 (List.length (Page_redo.slice a))
+  let first, last = Page_redo.slice a in
+  Alcotest.(check int) "empty tail" 0 (max 0 (Lsn.to_int last - Lsn.to_int first + 1))
 
 let test_redo_one () =
   let cache = Cache.create ~capacity:4 (Disk.create ()) in

@@ -31,6 +31,29 @@ let qtest ?(count = 100) name prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name (QCheck.make (QCheck.Gen.int_bound 1_000_000)) prop)
 
+(* Run [f], and end the whole test run if it has not returned within
+   [seconds]: a regression that blocks forever then fails the suite
+   instead of hanging it. The watchdog domain exits the process without
+   running [at_exit] handlers, which could block on the stuck work. *)
+let with_timeout ~seconds name f =
+  let finished = Atomic.make false in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. seconds in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done;
+        if not (Atomic.get finished) then begin
+          Printf.eprintf "TIMEOUT: %s did not finish within %.0f s\n%!" name seconds;
+          Unix._exit 124
+        end)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join watchdog)
+    f
+
 (* The master cells a run wrote to [medium], newest first: call after
    every step that may force a checkpoint. *)
 let track_masters medium masters =
