@@ -303,7 +303,7 @@ let e7_faults () =
 (* PERF: hot-path scaling. Times the WAL append/force path, the crash  *)
 (* scan + redo replay, the cache's careful-write-order machinery, and  *)
 (* the partition-parallel recovery pipeline at 1k/10k/100k records,    *)
-(* and writes the rows to BENCH_4.json so future changes have a        *)
+(* and writes the rows to bench_out/BENCH_4.json so changes have a     *)
 (* machine-readable trajectory to compare against. Near-linear scaling *)
 (* here is the point: every one of these paths used to be quadratic    *)
 (* (whole-log filter+sort per force, whole-log rescan per recovery     *)
@@ -325,8 +325,16 @@ let e7_faults () =
 
 let perf_sizes = [ 1_000; 10_000; 100_000 ]
 
+(* Every BENCH_N.json and JSONL file lands in [bench_out/], created if
+   missing, never in the source tree's tracked baselines. *)
+let out_dir = "bench_out"
+
+let out_file file =
+  if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
+  Filename.concat out_dir file
+
 let emit_json ~file rows =
-  let oc = open_out file in
+  let oc = open_out (out_file file) in
   output_string oc "[\n";
   let last = List.length rows - 1 in
   List.iteri
@@ -491,7 +499,7 @@ let perf () =
         [ 1; 2; 4 ])
     perf_sizes;
   emit_json ~file:"BENCH_4.json" (List.rev !rows);
-  Fmt.pr "  rows written to BENCH_4.json (best of 5 rounds, after warm-up; %d cores online)@."
+  Fmt.pr "  rows written to bench_out/BENCH_4.json (best of 5 rounds, after warm-up; %d cores online)@."
     (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
@@ -639,7 +647,7 @@ let e12_checkpoint () =
     perf_sizes;
   emit_json ~file:"BENCH_5.json" (List.rev !rows);
   Fmt.pr
-    "  rows written to BENCH_5.json (best of 5 rounds, after warm-up; %d cores online)@."
+    "  rows written to bench_out/BENCH_5.json (best of 5 rounds, after warm-up; %d cores online)@."
     (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
@@ -741,7 +749,7 @@ let e13_group_commit () =
       Redo_wal.Group_commit.detach gc);
   emit_json ~file:"BENCH_6.json" (List.rev !rows);
   Fmt.pr
-    "  rows written to BENCH_6.json (best of 5 rounds, after warm-up; %d cores online)@."
+    "  rows written to bench_out/BENCH_6.json (best of 5 rounds, after warm-up; %d cores online)@."
     (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
@@ -844,7 +852,7 @@ let e14_flight () =
     append_pct commit_pct;
   emit_json ~file:"BENCH_7.json" (List.rev !rows);
   Fmt.pr
-    "  rows written to BENCH_7.json (best of 5 rounds, after warm-up; %d cores online)@."
+    "  rows written to bench_out/BENCH_7.json (best of 5 rounds, after warm-up; %d cores online)@."
     (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
@@ -941,7 +949,7 @@ let e15_service () =
     [ 1; 2; 4; 8 ];
   emit_json ~file:"BENCH_8.json" (List.rev !rows);
   Fmt.pr
-    "  rows written to BENCH_8.json (best of 2 rounds, after warm-up; %d cores online - \
+    "  rows written to bench_out/BENCH_8.json (best of 2 rounds, after warm-up; %d cores online - \
      on 1 core the shard rows measure coordination overhead, not speedup)@."
     (Domain.recommended_domain_count ());
   (* Certification leg, outside the clock: a smaller run through
@@ -1039,12 +1047,12 @@ let e16_oplat () =
     (float bp /. 100.)
     report.Oplat.r_sampled;
   emit_json ~file:"BENCH_9.json" (List.rev !rows);
-  let oc = open_out "oplat_timeseries.jsonl" in
+  let oc = open_out (out_file "oplat_timeseries.jsonl") in
   output_string oc timeseries;
   close_out oc;
   Fmt.pr
-    "  rows written to BENCH_9.json, last enabled round's time series to \
-     oplat_timeseries.jsonl (best of 2 rounds x 3 interleaves; %d cores online)@."
+    "  rows written to bench_out/BENCH_9.json, last enabled round's time series to \
+     bench_out/oplat_timeseries.jsonl (best of 2 rounds x 3 interleaves; %d cores online)@."
     (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
@@ -1170,7 +1178,7 @@ let e17_instant_restart () =
         ],
         None );
     ];
-  Fmt.pr "  rows written to BENCH_10.json (%d cores online)@."
+  Fmt.pr "  rows written to bench_out/BENCH_10.json (%d cores online)@."
     (Domain.recommended_domain_count ());
   if ratio > 0.10 then begin
     Fmt.pr "  ACCEPTANCE FAILED: instant ttfo is %.1f%% of eager ttfr (bound 10%%)@."

@@ -45,8 +45,10 @@ type stats = {
 }
 
 (* One shard: a static slice of the page universe (pid mod shards),
-   a private cache over the shared disk, and the mailbox whose consumer
-   domain is the only code that ever touches that cache. *)
+   a private cache over the shared disk, and the mailbox whose tasks are
+   the only code that ever touches that cache. They run one at a time,
+   in arrival order: on the owner (consumer) domain, or in the client
+   when a synchronous call finds the shard idle ([exec]). *)
 type shard = {
   index : int;
   pages : int list;
@@ -141,9 +143,10 @@ let owner t pid = t.shard_arr.(pid mod t.nshards)
    the window's finish is idempotent. *)
 let after_drain lr = if Lazy_redo.finished lr && Oplat.enabled () then Oplat.recovery_finished ()
 
-(* The demand fault: called on the page's owner domain before any read
-   of or logged update to the page, so an operation can never observe —
-   or stamp an LSN above — a page whose redo tail is still queued. *)
+(* The demand fault: called in a task of the page's shard before any
+   read of or logged update to the page, so an operation can never
+   observe — or stamp an LSN above — a page whose redo tail is still
+   queued. *)
 let ensure_recovered t pid =
   match Atomic.get t.restart with
   | None -> ()
@@ -178,7 +181,7 @@ let await_recovery t =
 
 (* ---- normal operation (worker side) -------------------------------- *)
 
-(* The physiological discipline on the owner domain: log first (the
+(* The physiological discipline in a shard task: log first (the
    append assigns the LSN, serialized under the committer's mutex),
    then apply to the shard's private page and stamp it. *)
 let apply_logged t shard pid op =
@@ -197,6 +200,19 @@ let page_entries t shard pid =
     invalid_arg (Fmt.str "sharded store: unexpected page payload %a" Page.pp_data data)
 
 (* ---- normal operation (client side) -------------------------------- *)
+
+(* A synchronous call on a shard: in the caller when the shard is idle
+   ([Mailbox.run]), saving the hand-off's wake-up and context switches.
+   While an instant restart is live it always hands off. The sweeper
+   queues its page touches on the same owners then, and an inline run
+   that ends with one queued wakes the owner, which on one CPU preempts
+   the caller and runs that drain before the caller's next operation:
+   time to first operation grew by a sweeper drain (EXPERIMENTS.md
+   E23). Handed off, the caller is the one woken and runs first. *)
+let exec t shard f =
+  match Atomic.get t.restart with
+  | None -> Mailbox.run shard.mailbox f
+  | Some _ -> Mailbox.Ticket.await (Mailbox.call shard.mailbox f)
 
 let route t key op =
   ensure_open t;
@@ -241,31 +257,39 @@ let put_durable t key value =
   let shard = owner t pid in
   Metrics.observe h_queue_depth (float (Mailbox.depth shard.mailbox));
   let sampled = Oplat.sample () in
-  Mailbox.Ticket.await
-    (Mailbox.call shard.mailbox (fun () ->
-         (match sampled with
-         | Some tk -> Oplat.stamp_dequeue tk ~shard:shard.index
-         | None -> ());
-         let lsn = apply_logged t shard pid (Page_op.Put (key, value)) in
-         (match sampled with
-         | Some tk ->
-           Oplat.stamp_apply tk;
-           (* Durable: the ticket completes at the barrier's stable
-              ack, not at the force. *)
-           Oplat.register tk ~lsn:(Lsn.to_int lsn) ~durable:true
-         | None -> ());
-         Log_manager.force_async t.log ~upto:lsn))
+  exec t shard (fun () ->
+      (* Inline, [dequeue] is stamped right after the mailbox lock, so
+         [dwell] is just that lock. *)
+      (match sampled with
+      | Some tk -> Oplat.stamp_dequeue tk ~shard:shard.index
+      | None -> ());
+      let lsn = apply_logged t shard pid (Page_op.Put (key, value)) in
+      (match sampled with
+      | Some tk ->
+        Oplat.stamp_apply tk;
+        (* Durable: the ticket completes at the barrier's stable ack,
+           not at the force. *)
+        Oplat.register tk ~lsn:(Lsn.to_int lsn) ~durable:true
+      | None -> ());
+      Log_manager.force_async t.log ~upto:lsn)
 
-let get_async t key =
+(* A read's bookkeeping, its shard and the task that reads the page. *)
+let read t key =
   ensure_open t;
   Oplat.first_op ();
   Atomic.incr t.gets;
   Metrics.incr c_reads;
   let pid = locate t key in
   let shard = owner t pid in
-  Mailbox.call shard.mailbox (fun () -> Page.kv_get (page_entries t shard pid) key)
+  shard, fun () -> Page.kv_get (page_entries t shard pid) key
 
-let get t key = Mailbox.Ticket.await (get_async t key)
+let get_async t key =
+  let shard, task = read t key in
+  Mailbox.call shard.mailbox task
+
+let get t key =
+  let shard, task = read t key in
+  exec t shard task
 
 let drain t = Array.iter (fun s -> Mailbox.drain s.mailbox) t.shard_arr
 

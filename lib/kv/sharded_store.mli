@@ -6,12 +6,15 @@
     page universe is statically partitioned over N shards
     ([page mod shards] — a coarsening of the per-page components
     [Core.Partition] computes, so shard boundaries are conflict-closed
-    by construction), and each shard is owned by one worker domain (a
-    {!Redo_par.Mailbox} consumer) holding the shard's private cache.
+    by construction), and each shard is a {!Redo_par.Mailbox}: a stream
+    of tasks over the shard's private cache, run one at a time in
+    arrival order by the shard's worker domain (the mailbox consumer)
+    — or, for a synchronous {!get} or {!put_durable} that finds the
+    shard idle, by the caller itself ({!Redo_par.Mailbox.run}).
     Cross-shard coordination needs no locks on the data path: keys
-    route to their owner, owners never share pages, and Theorem 3 says
+    route to their shard, shards never share pages, and Theorem 3 says
     any conflict-respecting order — in particular, the WAL order the
-    owners jointly produce — is equivalent to a serial execution.
+    shards jointly produce — is equivalent to a serial execution.
 
     What the shards {e do} share is the log: one {!Redo_wal.Log_manager}
     with a Background {!Redo_wal.Group_commit} committer attached, so
@@ -41,9 +44,15 @@
     serial execution.
 
     Threading contract: one client domain drives the public API
-    (workers are internal); {!stats} may be read from anywhere. Always
-    {!close} the store — it owns N worker domains and the committer's
-    flusher. *)
+    (workers are internal); {!stats} may be read from anywhere. A
+    shard's tasks never overlap and run in the order they reach it;
+    which domain runs one does not matter to the theory. {!get} and
+    {!put_durable} run in the client when their shard is idle and no
+    instant restart is live; everything else — {!put}, {!delete},
+    {!get_async}, the fan-outs of {!dump}, checkpoints, crash and
+    recovery, and the restart sweeper's touches — hands its tasks to
+    the worker domains. Always {!close} the store — it owns N worker
+    domains and the committer's flusher. *)
 
 type t
 
@@ -99,13 +108,17 @@ val put : t -> string -> string -> unit
 val delete : t -> string -> unit
 
 val put_durable : t -> string -> string -> Redo_wal.Log_manager.ticket
-(** Like {!put}, but wait for the owner to log the operation and return
-    its WAL ticket: [await] it for a commit barrier, or check
-    [ticket_stable] later — the claim the post-crash triage audits. *)
+(** Like {!put}, but wait for the operation to be logged and return its
+    WAL ticket: [await] it for a commit barrier, or check
+    [ticket_stable] later — the claim the post-crash triage audits.
+    Runs in the caller when the key's shard is idle, else on its owner
+    (see {!get}). *)
 
 val get : t -> string -> string option
-(** Route the read to the key's owner and hand the result back through
-    a completion ticket (blocking). *)
+(** Read the key on its shard (blocking): in the caller when the shard
+    is idle — nothing queued, nothing executing — else on the owner
+    domain behind the queued tasks. While an instant restart is live
+    it always hands off to the owner. *)
 
 val get_async : t -> string -> string option Redo_par.Mailbox.Ticket.t
 (** The pipelined form: post the read, await the ticket later —

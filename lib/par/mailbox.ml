@@ -1,4 +1,10 @@
 module Oplat = Redo_obs.Oplat
+module Metrics = Redo_obs.Metrics
+
+(* Which way each synchronous [run] went: in its caller, or through the
+   queue to the consumer. *)
+let c_runs_inline = Metrics.counter "mailbox.runs_inline"
+let c_runs_queued = Metrics.counter "mailbox.runs_queued"
 
 module Ticket = struct
   type 'a t = {
@@ -45,7 +51,7 @@ type t = {
   nonfull : Condition.t;  (* consumer -> producers: slot freed *)
   idle : Condition.t;  (* consumer -> drainers: queue empty, task done *)
   queue : (unit -> unit) Queue.t;
-  mutable busy : bool;  (* consumer is executing a task *)
+  mutable busy : bool;  (* a task is executing: the consumer's or an inline run's *)
   mutable closing : bool;
   mutable failure : exn option;  (* first posted-task exception *)
   mutable consumer : unit Domain.t option;
@@ -55,11 +61,13 @@ let name t = t.mb_name
 
 (* The consumer: take a task under the mutex, run it outside (so
    producers keep queueing while it executes), report idleness when the
-   queue is spent. Exits only when closing AND the queue is empty, so a
-   close never abandons accepted work. *)
+   queue is spent. It waits out an inline [run] ([busy] set by a
+   caller), so tasks never overlap. Exits only when closing AND the
+   queue is empty AND no run is executing, so a close never abandons
+   accepted work. *)
 let rec consumer_loop t =
   Mutex.lock t.mutex;
-  while Queue.is_empty t.queue && not t.closing do
+  while t.busy || (Queue.is_empty t.queue && not t.closing) do
     Condition.wait t.nonempty t.mutex
   done;
   if Queue.is_empty t.queue then begin
@@ -132,6 +140,35 @@ let call t f =
   let tk = Ticket.make () in
   post t (fun () -> Ticket.fulfill tk (match f () with v -> Ok v | exception e -> Error e));
   tk
+
+let run t f =
+  Mutex.lock t.mutex;
+  if t.closing then begin
+    Mutex.unlock t.mutex;
+    invalid_arg (Printf.sprintf "Mailbox.run: %s is closed" t.mb_name)
+  end;
+  if Queue.is_empty t.queue && not t.busy then begin
+    (* Idle: nothing queued, nothing executing. Claim the slot the
+       consumer would take and run [f] here; the mutex orders it after
+       every earlier task and before every later one. *)
+    t.busy <- true;
+    Mutex.unlock t.mutex;
+    Metrics.incr c_runs_inline;
+    let r = match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ()) in
+    Mutex.lock t.mutex;
+    t.busy <- false;
+    (* Tasks posted meanwhile, or a close, wait on the consumer, which
+       waited out this run; drainers wait for the idle mailbox. *)
+    if Queue.is_empty t.queue then Condition.broadcast t.idle;
+    if t.closing || not (Queue.is_empty t.queue) then Condition.signal t.nonempty;
+    Mutex.unlock t.mutex;
+    match r with Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+  end
+  else begin
+    Mutex.unlock t.mutex;
+    Metrics.incr c_runs_queued;
+    Ticket.await (call t f)
+  end
 
 let depth t =
   Mutex.lock t.mutex;

@@ -14,13 +14,14 @@
    [Theory_check.check].)
 
    The controller owns no domains of its own for demand traffic: each
-   queue lives with its page's shard, and [ensure] must be called on
-   the shard's owner domain (the same single-writer discipline as the
-   shard cache). Cross-domain visibility is limited to the Atomic
+   queue lives with its page's shard, and [ensure] must be called from
+   one of the shard's tasks (the same one-task-at-a-time discipline as
+   the shard cache: the shard's mailbox orders the tasks, whichever
+   domain runs them). Cross-domain visibility is limited to the Atomic
    pending counters, the stop flag and the recorded failure. The
    background sweeper is one long-lived task on a private single-domain
    pool; it never touches a queue itself — it posts every page through
-   the same owner-domain [touch] path a client fault takes, so there is
+   the same shard-task [touch] path a client fault takes, so there is
    exactly one code path that drains a queue. *)
 
 module Metrics = Redo_obs.Metrics
@@ -154,8 +155,8 @@ type t = {
   nshards : int;
   queues : Lsn.t array array;
       (* pid-indexed; slot [pid] is written only by shard
-         [pid mod nshards]'s owner domain (disjoint slots, so sharing
-         the array is race-free) *)
+         [pid mod nshards]'s tasks, one at a time (disjoint slots, so
+         sharing the array is race-free) *)
   order : (int * int) list;
   apply : shard:int -> pid:int -> Lsn.t array -> int * int;
   pending_total : int Atomic.t;
@@ -213,7 +214,7 @@ let ensure t ~pid ~trigger =
     if Array.length q = 0 then false
     else begin
       (* Clear before applying: [apply] goes through the logged-update
-         path on this same domain, and must not re-enter the drain. *)
+         path in this same task, and must not re-enter the drain. *)
       t.queues.(pid) <- [||];
       match t.apply ~shard:(pid mod t.nshards) ~pid q with
       | exception exn ->
@@ -259,7 +260,7 @@ let start_sweeper t ~touch =
   t.sweeper <- Some pool;
   Domain_pool.submit pool (fun () ->
       (* One pass over the static hottest-first order suffices: [touch]
-         routes to the owner domain, where [ensure] is an idempotent
+         routes to the page's shard, where [ensure] is an idempotent
          no-op for pages demand traffic already drained. After the last
          touch the pending set is total, whatever the interleaving. The
          pool drops a task's exception, so a touch that raises is

@@ -13,15 +13,16 @@
     [Redo_core.Recovery.recover], and both are checked against eager
     replay by [Theory_check]'s lazy leg on every check.
 
-    Threading: queues belong to their page's shard owner — {!ensure}
-    must run on that owner domain (the single-writer discipline of the
-    shard cache). Only the pending counters, tallies, the stop flag and
-    a drain's failure cross domains. The sweeper never touches a queue
-    itself: it posts every page through the caller's [touch], the same
-    owner-domain path a client fault takes.
+    Threading: queues belong to their page's shard — {!ensure} must run
+    as one of that shard's tasks, which the shard's mailbox runs one at
+    a time (the discipline of the shard cache). Only the pending
+    counters, tallies, the stop flag and a drain's failure cross
+    domains. The sweeper never touches a queue itself: it posts every
+    page through the caller's [touch], the same shard-task path a
+    client fault takes.
 
     The queues hold LSNs, not records: a drain decodes its page's
-    records on the owner domain, so a restart decodes only what it
+    records in the shard's task, so a restart decodes only what it
     redoes. *)
 
 type trigger =
@@ -82,11 +83,13 @@ val create :
     pending ({!pending_total}). [apply] replays one page's queue — it
     decodes each LSN's record and applies it under the page-LSN redo
     test ({!Page_redo.redo_one}) — and returns [(redone, skipped)]; it
-    is invoked on whatever domain calls {!ensure} — the shard owner's. *)
+    is invoked in whatever shard task calls {!ensure}. *)
 
 val ensure : t -> pid:int -> trigger:trigger -> bool
 (** Drain the page's queue if it still has one; idempotent ([false] =
-    nothing pending). {b Must run on the page's shard owner domain.}
+    nothing pending). {b Must run as one of the page's shard tasks}
+    (which run one at a time, in order, on whichever domain the shard's
+    mailbox picks).
     The queue is removed before [apply] runs, so the logged-update path
     inside [apply] cannot re-enter the drain. Emits a
     [Flight.Lazy_drain] frame, feeds the [restart.lazy_queue_depth]
@@ -114,15 +117,15 @@ val sweeper_drains : t -> int
 
 val await : t -> bool
 (** Block until {!finished} or {!stop}; returns {!finished}. The caller
-    must not be a shard owner domain (the drains it waits on run
-    there). Re-raises the first exception a drain raised, as soon as
+    must not be running a shard task (the drains it waits on need
+    the shards). Re-raises the first exception a drain raised, as soon as
     one has. *)
 
 val start_sweeper : t -> touch:(pid:int -> trigger:trigger -> unit) -> unit
 (** Start the background sweeper: one task on a private single-domain
     pool walking {!plan_queued_pids} order and calling [touch] for each
-    — [touch] must route to the page's owner domain and call {!ensure}
-    there, blocking until the drain completes (so a demand operation
+    — [touch] must route to the page's shard and call {!ensure} in a
+    task there, blocking until the drain completes (so a demand operation
     behind the sweeper waits for at most one page's drain). One full
     pass makes the recovered set total.
     @raise Invalid_argument if already started. *)

@@ -11,7 +11,12 @@
       [first] before [next]"), the cache-level realisation of a write
       graph {e add an edge} — required by generalized split logging
       (Figure 8). Flushing a page auto-flushes its prerequisites and
-      counts them, so experiment E4 can measure the constraint's cost. *)
+      counts them, so experiment E4 can measure the constraint's cost.
+
+    A cache is not synchronised: one operation at a time. The sharded
+    KV service touches a shard's cache only from that shard's mailbox
+    tasks, which never overlap — on the owner domain, or in a caller
+    that found the shard idle. *)
 
 exception Flush_cycle of int list
 (** Write-order edges formed a cycle (a method bug). *)

@@ -247,6 +247,36 @@ let test_service_integration () =
   Alcotest.(check bool) "apply observed" true (stage_events r "apply" > 0);
   Alcotest.(check bool) "force observed" true (stage_events r "force" > 0)
 
+(* A durable put on an idle shard runs in its caller. Its sampled
+   ticket still carries its edges, [dequeue] stamped right after the
+   mailbox lock, and folds once with stage sums equal to its end-to-end
+   latency. *)
+let test_inline_put_durable () =
+  with_oplat @@ fun () ->
+  let module SS = Redo_kv.Sharded_store in
+  let inline = Metrics.counter "mailbox.runs_inline" in
+  let store = SS.create ~shards:1 ~partitions:8 () in
+  Fun.protect ~finally:(fun () -> SS.close store) @@ fun () ->
+  let i0 = Metrics.count inline in
+  Redo_wal.Log_manager.await (SS.put_durable store "k" "v");
+  Alcotest.(check int) "the durable put ran inline" (i0 + 1) (Metrics.count inline);
+  (* A flusher force that beat the barrier leaves the ticket to [sync]'s
+     drain (an await on a stable ticket does not ack). *)
+  SS.sync store;
+  let r = Oplat.report () in
+  Alcotest.(check int) "sampled" 1 r.Oplat.r_sampled;
+  Alcotest.(check int) "folded exactly once" 1 r.Oplat.r_completed;
+  Alcotest.(check int) "one end-to-end event" 1 r.Oplat.r_e2e.Oplat.sv_events;
+  List.iter
+    (fun name -> Alcotest.(check int) (name ^ " stamped") 1 (stage_events r name))
+    [ "dwell"; "apply" ];
+  let e2e = r.Oplat.r_e2e.Oplat.sv_sum_ns in
+  let stages = List.fold_left (fun acc sv -> acc +. sv.Oplat.sv_sum_ns) 0. r.Oplat.r_stages in
+  Alcotest.(check bool)
+    (Printf.sprintf "stage sums %.0f ns = end to end %.0f ns" stages e2e)
+    true
+    (e2e > 0. && Float.abs (stages -. e2e) <= 1e-9 *. e2e)
+
 let suite =
   [
     Alcotest.test_case "ticket lifecycle" `Quick test_ticket_lifecycle;
@@ -261,4 +291,6 @@ let suite =
     Alcotest.test_case "concurrent finalization" `Quick test_concurrent_finalization;
     Alcotest.test_case "time series and json" `Quick test_timeseries_and_json;
     Alcotest.test_case "sharded service integration" `Quick test_service_integration;
+    Alcotest.test_case "inline durable put: one ticket, exact sums" `Quick
+      test_inline_put_durable;
   ]

@@ -225,6 +225,37 @@ let test_instant_serves_during_recovery () =
   Alcotest.(check bool) "await again is a no-op" true
     (Sharded_store.await_recovery store = (0, 0))
 
+(* ---- the restart rule: no inline calls while a restart is live ------- *)
+
+(* A get or durable put on an idle shard runs in its caller, except
+   while an instant restart is live: then it hands off to the owner, so
+   the sweeper's queued drains cannot slip in ahead of the caller. *)
+let test_restart_hands_off () =
+  let module Metrics = Redo_obs.Metrics in
+  let inline = Metrics.counter "mailbox.runs_inline" in
+  let queued = Metrics.counter "mailbox.runs_queued" in
+  let store = Sharded_store.create ~shards:2 ~partitions:12 ~cache_capacity:4 () in
+  Fun.protect ~finally:(fun () -> Sharded_store.close store) @@ fun () ->
+  for i = 1 to 40 do
+    Sharded_store.put store (Printf.sprintf "k%02d" i) (Printf.sprintf "v%02d" i)
+  done;
+  Sharded_store.sync store;
+  Sharded_store.crash store;
+  ignore (Sharded_store.recover ~mode:`Instant store);
+  Alcotest.(check bool) "a restart is live" true (Sharded_store.recovery_pending store > 0);
+  let i0 = Metrics.count inline and q0 = Metrics.count queued in
+  Alcotest.check value_opt "get mid-restart" (Some "v07") (Sharded_store.get store "k07");
+  Log_manager.await (Sharded_store.put_durable store "k08" "w08");
+  (* Handed straight to the owner: [Mailbox.run] never saw them. *)
+  Alcotest.(check int) "mid-restart: nothing inline" i0 (Metrics.count inline);
+  Alcotest.(check int) "mid-restart: no run queued either" q0 (Metrics.count queued);
+  ignore (Sharded_store.await_recovery store);
+  Sharded_store.drain store;
+  let i1 = Metrics.count inline and q1 = Metrics.count queued in
+  Alcotest.check value_opt "get after the restart" (Some "v23") (Sharded_store.get store "k23");
+  Alcotest.(check int) "after await_recovery: the get ran inline" (i1 + 1) (Metrics.count inline);
+  Alcotest.(check int) "after await_recovery: nothing queued" q1 (Metrics.count queued)
+
 (* ---- a drain that raises ------------------------------------------- *)
 
 (* A queued frame corrupted after the crash: the drain that decodes it
@@ -534,7 +565,9 @@ let suite =
     Alcotest.test_case "triage reconstructs lazy drains" `Quick test_triage_lazy_drains;
     Alcotest.test_case "triage of an interrupted restart" `Quick
       test_triage_interrupted_restart;
-    Util.qtest "crash-mid-restart fuzz: 1 shard" (fuzz_instant ~shards:1);
-    Util.qtest "crash-mid-restart fuzz: 2 shards" (fuzz_instant ~shards:2);
-    Util.qtest "crash-mid-restart fuzz: 4 shards" (fuzz_instant ~shards:4);
+    Alcotest.test_case "a live restart hands synchronous calls off" `Quick
+      test_restart_hands_off;
+    Util.takes_both_paths (Util.qtest "crash-mid-restart fuzz: 1 shard" (fuzz_instant ~shards:1));
+    Util.takes_both_paths (Util.qtest "crash-mid-restart fuzz: 2 shards" (fuzz_instant ~shards:2));
+    Util.takes_both_paths (Util.qtest "crash-mid-restart fuzz: 4 shards" (fuzz_instant ~shards:4));
   ]

@@ -1,6 +1,8 @@
 (* The sharded KV service: randomized crash-recovery fuzz at shard
    counts 1, 2 and 4 (100 runs each, a third of them crashing with a
-   stale master record), plus a flight-recorder triage
+   stale master record; across its runs each fuzzer must see gets and
+   durable puts both run inline and queued), plus a flight-recorder
+   triage
    audit of the staged-commit claims after a torn crash and a check of
    the crash markers every crash stamps.
 
@@ -279,8 +281,8 @@ let suite =
     Alcotest.test_case "basics" `Quick test_basics;
     Alcotest.test_case "close idempotent" `Quick test_close_idempotent;
     Alcotest.test_case "triage of staged claims" `Quick test_triage_staged_claims;
-    Util.qtest "fuzz: 1 shard" (fuzz ~shards:1);
-    Util.qtest "fuzz: 2 shards" (fuzz ~shards:2);
-    Util.qtest "fuzz: 4 shards" (fuzz ~shards:4);
+    Util.takes_both_paths (Util.qtest "fuzz: 1 shard" (fuzz ~shards:1));
+    Util.takes_both_paths (Util.qtest "fuzz: 2 shards" (fuzz ~shards:2));
+    Util.takes_both_paths (Util.qtest "fuzz: 4 shards" (fuzz ~shards:4));
     Alcotest.test_case "crash gate stamps one marker per crash" `Quick test_crash_markers;
   ]

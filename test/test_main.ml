@@ -21,6 +21,7 @@ let () =
       "methods", T_methods.suite;
       "workload", T_workload.suite;
       "kv store", T_kv.suite;
+      "mailbox", T_mailbox.suite;
       "sharded store", T_sharded_store.suite;
       "theory check", T_theory_check.suite;
       "fault injection", T_faults.suite;

@@ -31,6 +31,21 @@ let qtest ?(count = 100) name prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name (QCheck.make (QCheck.Gen.int_bound 1_000_000)) prop)
 
+(* Wrap a test so that it also fails unless, across all its runs,
+   synchronous shard calls took both of [Mailbox.run]'s paths: in the
+   caller (an idle shard) and through the owner's queue. *)
+let takes_both_paths (name, speed, run) =
+  let count n = Redo_obs.Metrics.(count (counter n)) in
+  let test () =
+    let inline0 = count "mailbox.runs_inline" and queued0 = count "mailbox.runs_queued" in
+    run ();
+    Alcotest.(check bool) "some synchronous calls ran inline" true
+      (count "mailbox.runs_inline" > inline0);
+    Alcotest.(check bool) "some synchronous calls were queued" true
+      (count "mailbox.runs_queued" > queued0)
+  in
+  name, speed, test
+
 (* Run [f], and end the whole test run if it has not returned within
    [seconds]: a regression that blocks forever then fails the suite
    instead of hanging it. The watchdog domain exits the process without
