@@ -126,8 +126,9 @@ let node_split_key = function
    separator moves up (it lands in neither half). *)
 let node_halves ~at = function
   | Page.Node (Page.Leaf entries) ->
-    let lower, upper = List.partition (fun (k, _) -> String.compare k at < 0) entries in
-    Page_op.Init_leaf lower, Page_op.Init_leaf upper
+    let lower, upper = Page.Entries.split at entries in
+    ( Page_op.Init_leaf (Page.Entries.bindings lower),
+      Page_op.Init_leaf (Page.Entries.bindings upper) )
   | Page.Node (Page.Internal { seps; children }) ->
     let rec go seps children lower_seps lower_children =
       match seps, children with
@@ -143,7 +144,7 @@ let node_halves ~at = function
   | data -> invalid_arg (Fmt.str "Btree.node_halves: %a" Page.pp_data data)
 
 let is_overfull t = function
-  | Page.Node (Page.Leaf entries) -> List.length entries > t.max_keys
+  | Page.Node (Page.Leaf entries) -> Page.Entries.cardinal entries > t.max_keys
   | Page.Node (Page.Internal { seps; _ }) -> List.length seps > t.max_keys
   | _ -> false
 
@@ -205,7 +206,7 @@ let has_surplus ~hi data =
   match hi, data with
   | None, _ -> false
   | Some h, Page.Node (Page.Leaf entries) ->
-    List.exists (fun (k, _) -> String.compare k h >= 0) entries
+    not (Page.Entries.is_empty (snd (Page.Entries.split h entries)))
   | Some h, Page.Node (Page.Internal { seps; _ }) ->
     List.exists (fun s -> String.compare s h >= 0) seps
   | Some _, _ -> false
@@ -248,7 +249,7 @@ let delete t key =
 let lookup t key =
   let (leaf, _), _ = descend t ~key root_pid ~hi:None [] in
   match read_data t leaf with
-  | Page.Node (Page.Leaf entries) -> Page.kv_get entries key
+  | Page.Node (Page.Leaf entries) -> Page.Entries.find key entries
   | Page.Empty -> None
   | data -> invalid_arg (Fmt.str "Btree.lookup: unexpected payload %a" Page.pp_data data)
 
@@ -265,7 +266,8 @@ let dump t =
     let walk = walk ~depth:(depth + 1) in
     match read_data t pid with
     | Page.Empty -> []
-    | Page.Node (Page.Leaf entries) -> List.filter (fun (k, _) -> within lo hi k) entries
+    | Page.Node (Page.Leaf entries) ->
+      List.filter (fun (k, _) -> within lo hi k) (Page.Entries.bindings entries)
     | Page.Node (Page.Internal { seps; children }) ->
       let rec go lo seps children =
         match seps, children with

@@ -195,7 +195,7 @@ let page_entries t shard pid =
   ensure_recovered t pid;
   match Page.data (Cache.read shard.cache pid) with
   | Page.Kv entries -> entries
-  | Page.Empty -> []
+  | Page.Empty -> Page.Entries.empty
   | data ->
     invalid_arg (Fmt.str "sharded store: unexpected page payload %a" Page.pp_data data)
 
@@ -281,7 +281,7 @@ let read t key =
   Metrics.incr c_reads;
   let pid = locate t key in
   let shard = owner t pid in
-  shard, fun () -> Page.kv_get (page_entries t shard pid) key
+  shard, fun () -> Page.Entries.find key (page_entries t shard pid)
 
 let get_async t key =
   let shard, task = read t key in
@@ -312,7 +312,8 @@ let on_shards t f =
 let dump t =
   ensure_open t;
   drain t;
-  on_shards t (fun s -> List.concat_map (fun pid -> page_entries t s pid) s.pages)
+  on_shards t (fun s ->
+      List.concat_map (fun pid -> Page.Entries.bindings (page_entries t s pid)) s.pages)
   |> Array.to_list
   |> Kv_layout.merge_dumps
 
@@ -571,7 +572,7 @@ let serial_replay t records =
     Hashtbl.fold
       (fun _ data acc ->
         (match data with
-        | Page.Kv entries -> entries
+        | Page.Kv entries -> Page.Entries.bindings entries
         | Page.Empty -> []
         | d -> invalid_arg (Fmt.str "sharded serial replay: unexpected payload %a" Page.pp_data d))
         :: acc)

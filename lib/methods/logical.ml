@@ -52,9 +52,8 @@ let get t key = Hashtbl.find_opt t.volatile key
 
 let partition_entries t pid =
   Hashtbl.fold
-    (fun k v acc -> if locate t k = pid then (k, v) :: acc else acc)
-    t.volatile []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    (fun k v acc -> if locate t k = pid then Page.Entries.add k v acc else acc)
+    t.volatile Page.Entries.empty
 
 (* The quiesce: write the staging area, log the checkpoint record, force
    the log, and swing the pointer — the atomic installation of every
@@ -104,7 +103,8 @@ let recover t =
     (fun pid page ->
       Hashtbl.replace t.touched pid ();
       match Page.data page with
-      | Page.Kv entries -> List.iter (fun (k, v) -> Hashtbl.replace t.volatile k v) entries
+      | Page.Kv entries ->
+        List.iter (fun (k, v) -> Hashtbl.replace t.volatile k v) (Page.Entries.bindings entries)
       | Page.Empty -> ()
       | data -> invalid_arg (Fmt.str "logical recovery: unexpected payload %a" Page.pp_data data))
     t.stable_db;

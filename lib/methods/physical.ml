@@ -35,7 +35,7 @@ let locate t key = Kv_layout.locate ~partitions:t.partitions key
 let page_entries t pid =
   match Page.data (Cache.read t.cache pid) with
   | Page.Kv entries -> entries
-  | Page.Empty -> []
+  | Page.Empty -> Page.Entries.empty
   | data -> invalid_arg (Fmt.str "physical: unexpected payload %a" Page.pp_data data)
 
 (* Physical logging records the full after-image: compute the new page
@@ -50,7 +50,7 @@ let apply_kv t key op =
 let put t key value = apply_kv t key (Page_op.Put (key, value))
 let delete t key = apply_kv t key (Page_op.Del key)
 
-let get t key = Page.kv_get (page_entries t (locate t key)) key
+let get t key = Page.Entries.find key (page_entries t (locate t key))
 
 (* "All operations logged since a last checkpoint record on the log are
    replayed during recovery" — so the checkpoint must first install
@@ -134,7 +134,7 @@ let recover t =
 
 let dump t =
   Kv_layout.universe ~partitions:t.partitions
-  |> List.map (page_entries t)
+  |> List.map (fun pid -> Page.Entries.bindings (page_entries t pid))
   |> Kv_layout.merge_dumps
 
 let durable_ops t =

@@ -48,7 +48,7 @@ type t = {
   capacity : int;
   mutex : Mutex.t;
   nonempty : Condition.t;  (* producer -> consumer: task queued *)
-  nonfull : Condition.t;  (* consumer -> producers: slot freed *)
+  nonfull : Condition.t;  (* consumer -> producers: queue down to half *)
   idle : Condition.t;  (* consumer -> drainers: queue empty, task done *)
   queue : (unit -> unit) Queue.t;
   mutable busy : bool;  (* a task is executing: the consumer's or an inline run's *)
@@ -64,7 +64,12 @@ let name t = t.mb_name
    queue is spent. It waits out an inline [run] ([busy] set by a
    caller), so tasks never overlap. Exits only when closing AND the
    queue is empty AND no run is executing, so a close never abandons
-   accepted work. *)
+   accepted work.
+
+   Producers blocked on a full queue are woken only once it is down to
+   half its capacity, not at every pop: on one CPU a producer woken for one
+   free slot preempts the consumer, posts one task and blocks again,
+   two context switches per task for as long as the queue stays full. *)
 let rec consumer_loop t =
   Mutex.lock t.mutex;
   while t.busy || (Queue.is_empty t.queue && not t.closing) do
@@ -78,7 +83,7 @@ let rec consumer_loop t =
   else begin
     let task = Queue.pop t.queue in
     t.busy <- true;
-    Condition.broadcast t.nonfull;
+    if Queue.length t.queue <= t.capacity / 2 then Condition.broadcast t.nonfull;
     Mutex.unlock t.mutex;
     let err = match task () with () -> None | exception e -> Some e in
     Mutex.lock t.mutex;

@@ -13,7 +13,12 @@
     Posting is multi-producer: any domain may {!post}, {!call} or
     {!run}. Backpressure is built in — the queue is bounded, and a post
     into a full mailbox blocks until the consumer drains, so a fast
-    producer cannot balloon the queue into unbounded memory.
+    producer cannot balloon the queue into unbounded memory. A blocked
+    producer resumes once the consumer has drained the queue to half
+    its capacity ([capacity / 2] tasks queued), not at the first free
+    slot: woken at every slot, a producer on the consumer's CPU would
+    preempt it to post a single task and block again, two context
+    switches per task while the queue stays full.
 
     Task exceptions: a {!post}ed task's exception is stashed and
     re-raised at the next {!drain} or {!close} (the producer has moved
@@ -48,7 +53,9 @@ val create : ?name:string -> ?capacity:int -> unit -> t
 val name : t -> string
 
 val post : t -> (unit -> unit) -> unit
-(** Enqueue a task for the consumer; blocks while the queue is full.
+(** Enqueue a task for the consumer. Into a full queue it blocks until
+    the consumer has drained the queue to [capacity / 2] tasks (or the
+    mailbox closes).
     @raise Invalid_argument if the mailbox is closed. *)
 
 val call : t -> (unit -> 'a) -> 'a Ticket.t

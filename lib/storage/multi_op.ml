@@ -8,9 +8,9 @@ let reads = function Split_to { src; _ } | Copy { src; _ } -> [ src ]
 let writes = function Split_to { dst; _ } | Copy { dst; _ } -> [ dst ]
 
 let split_point entries =
-  match List.length entries with
-  | 0 | 1 -> raise (Malformed "split of a node with fewer than two entries")
-  | n -> fst (List.nth entries (n / 2))
+  match Page.Entries.bindings entries with
+  | [] | [ _ ] -> raise (Malformed "split of a node with fewer than two entries")
+  | bindings -> fst (List.nth bindings (List.length bindings / 2))
 
 (* For internal nodes the separator at the split point moves up to the
    parent: the right node keeps separators strictly greater than [at]
@@ -30,9 +30,8 @@ let apply op ~read =
   | Split_to { src; dst = _; at } ->
     (match (read src : Page.data) with
     | Page.Node (Page.Leaf entries) ->
-      Page.Node (Page.Leaf (List.filter (fun (k, _) -> String.compare k at >= 0) entries))
-    | Page.Kv entries ->
-      Page.Kv (List.filter (fun (k, _) -> String.compare k at >= 0) entries)
+      Page.Node (Page.Leaf (snd (Page.Entries.split at entries)))
+    | Page.Kv entries -> Page.Kv (snd (Page.Entries.split at entries))
     | Page.Node (Page.Internal { seps; children }) ->
       Page.Node (split_internal_upper ~at seps children)
     | data -> raise (Malformed (Fmt.str "Split_to: source is %a" Page.pp_data data)))

@@ -23,8 +23,8 @@ type t =
 val reads : t -> int list
 val writes : t -> int list
 
-val split_point : (string * string) list -> string
-(** The median key of a sorted entry list — where a split divides.
+val split_point : Page.Entries.t -> string
+(** The median key of a node's entries — where a split divides.
     @raise Malformed on fewer than two entries. *)
 
 val apply : t -> read:(int -> Page.data) -> Page.data

@@ -1,11 +1,32 @@
+module Entries = struct
+  module M = Map.Make (String)
+
+  type t = string M.t
+
+  let empty = M.empty
+  let is_empty = M.is_empty
+  let cardinal = M.cardinal
+  let find = M.find_opt
+  let add = M.add
+  let remove = M.remove
+
+  let split key m =
+    let below, at, above = M.split key m in
+    below, (match at with None -> above | Some v -> M.add key v above)
+
+  let bindings = M.bindings
+  let of_bindings l = List.fold_left (fun m (k, v) -> M.add k v m) M.empty l
+  let equal = M.equal String.equal
+end
+
 type node =
-  | Leaf of (string * string) list
+  | Leaf of Entries.t
   | Internal of { seps : string list; children : int list }
 
 type data =
   | Empty
   | Bytes of string
-  | Kv of (string * string) list
+  | Kv of Entries.t
   | Node of node
 
 type t = {
@@ -24,7 +45,7 @@ let with_data page data = { page with data }
 
 let node_equal a b =
   match a, b with
-  | Leaf xs, Leaf ys -> xs = ys
+  | Leaf xs, Leaf ys -> Entries.equal xs ys
   | Internal a, Internal b -> a.seps = b.seps && a.children = b.children
   | (Leaf _ | Internal _), _ -> false
 
@@ -32,7 +53,7 @@ let data_equal a b =
   match a, b with
   | Empty, Empty -> true
   | Bytes a, Bytes b -> String.equal a b
-  | Kv a, Kv b -> a = b
+  | Kv a, Kv b -> Entries.equal a b
   | Node a, Node b -> node_equal a b
   | (Empty | Bytes _ | Kv _ | Node _), _ -> false
 
@@ -41,9 +62,11 @@ let equal a b = Lsn.equal a.lsn b.lsn && data_equal a.data b.data
 (* A simple deterministic wire encoding; its length approximates the
    on-disk page utilisation and is what "physically logging a page"
    costs in the log-volume experiments. *)
+let encode_entries entries =
+  String.concat "|" (List.map (fun (k, v) -> k ^ "=" ^ v) (Entries.bindings entries))
+
 let encode_node = function
-  | Leaf entries ->
-    "L|" ^ String.concat "|" (List.map (fun (k, v) -> k ^ "=" ^ v) entries)
+  | Leaf entries -> "L|" ^ encode_entries entries
   | Internal { seps; children } ->
     "I|" ^ String.concat "," seps ^ "|"
     ^ String.concat "," (List.map string_of_int children)
@@ -51,7 +74,7 @@ let encode_node = function
 let encode_data = function
   | Empty -> "E"
   | Bytes s -> "B|" ^ s
-  | Kv entries -> "K|" ^ String.concat "|" (List.map (fun (k, v) -> k ^ "=" ^ v) entries)
+  | Kv entries -> "K|" ^ encode_entries entries
   | Node n -> "N|" ^ encode_node n
 
 let encode page = Printf.sprintf "%d#%s" (Lsn.to_int page.lsn) (encode_data page.data)
@@ -60,7 +83,42 @@ let byte_size page = String.length (encode page)
 
 (* Theory projection: pages round-trip through Value.Str via Marshal,
    which is deterministic for structurally equal pages within a run. The
-   readable [encode] stays the basis of size accounting. *)
+   readable [encode] stays the basis of size accounting.
+
+   What is marshalled is a mirror of the page with each map replaced by
+   its sorted bindings, never the map: two maps with equal bindings can
+   differ in shape, and equal pages must project to equal values. The
+   mirror is laid out as a page whose entries are a sorted association
+   list, the page's earlier representation, so projected values keep
+   their bytes. *)
+type wire_node =
+  | W_leaf of (string * string) list
+  | W_internal of { seps : string list; children : int list }
+
+type wire_data =
+  | W_empty
+  | W_bytes of string
+  | W_kv of (string * string) list
+  | W_node of wire_node
+
+type wire = {
+  w_lsn : Lsn.t;
+  w_data : wire_data;
+}
+
+let to_wire = function
+  | Empty -> W_empty
+  | Bytes s -> W_bytes s
+  | Kv entries -> W_kv (Entries.bindings entries)
+  | Node (Leaf entries) -> W_node (W_leaf (Entries.bindings entries))
+  | Node (Internal { seps; children }) -> W_node (W_internal { seps; children })
+
+let of_wire = function
+  | W_empty -> Empty
+  | W_bytes s -> Bytes s
+  | W_kv entries -> Kv (Entries.of_bindings entries)
+  | W_node (W_leaf entries) -> Node (Leaf (Entries.of_bindings entries))
+  | W_node (W_internal { seps; children }) -> Node (Internal { seps; children })
 
 exception Not_a_page of string
 
@@ -79,53 +137,38 @@ let untag tag s =
     Some (String.sub s tl (String.length s - tl))
   else None
 
-let to_value page = Redo_core.Value.Str (tagged page_tag (Marshal.to_string (page : t) []))
+let to_value page =
+  let wire = { w_lsn = page.lsn; w_data = to_wire page.data } in
+  Redo_core.Value.Str (tagged page_tag (Marshal.to_string (wire : wire) []))
 
 let of_value = function
   | Redo_core.Value.Str s ->
     (match untag page_tag s with
     | Some payload ->
-      (try (Marshal.from_string payload 0 : t)
-       with _ -> raise (Not_a_page (String.escaped s)))
+      (match (Marshal.from_string payload 0 : wire) with
+      | { w_lsn; w_data } -> { lsn = w_lsn; data = of_wire w_data }
+      | exception _ -> raise (Not_a_page (String.escaped s)))
     | None -> raise (Not_a_page (String.escaped s)))
   | v -> raise (Not_a_page (Redo_core.Value.to_string v))
 
 let data_to_value data =
-  Redo_core.Value.Str (tagged data_tag (Marshal.to_string (data : data) []))
+  Redo_core.Value.Str (tagged data_tag (Marshal.to_string (to_wire data : wire_data) []))
 
 let data_of_value = function
   | Redo_core.Value.Str s ->
     (match untag data_tag s with
     | Some payload ->
-      (try (Marshal.from_string payload 0 : data)
-       with _ -> raise (Not_a_page (String.escaped s)))
+      (match (Marshal.from_string payload 0 : wire_data) with
+      | wire -> of_wire wire
+      | exception _ -> raise (Not_a_page (String.escaped s)))
     | None -> raise (Not_a_page (String.escaped s)))
   | v -> raise (Not_a_page (Redo_core.Value.to_string v))
-
-(* Key-value payload helpers (sorted association lists). *)
-
-let kv_get entries k = List.assoc_opt k entries
-
-let kv_put entries k v =
-  let rec go = function
-    | [] -> [ k, v ]
-    | (k', v') :: rest ->
-      if String.compare k k' < 0 then (k, v) :: (k', v') :: rest
-      else if String.equal k k' then (k, v) :: rest
-      else (k', v') :: go rest
-  in
-  go entries
-
-let kv_del entries k = List.filter (fun (k', _) -> not (String.equal k k')) entries
-
-let sorted_kv entries =
-  List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) entries
 
 let pp_data ppf = function
   | Empty -> Fmt.string ppf "empty"
   | Bytes s -> Fmt.pf ppf "bytes[%d]" (String.length s)
-  | Kv entries -> Fmt.pf ppf "kv[%d]" (List.length entries)
-  | Node (Leaf entries) -> Fmt.pf ppf "leaf[%d]" (List.length entries)
+  | Kv entries -> Fmt.pf ppf "kv[%d]" (Entries.cardinal entries)
+  | Node (Leaf entries) -> Fmt.pf ppf "leaf[%d]" (Entries.cardinal entries)
   | Node (Internal { children; _ }) -> Fmt.pf ppf "internal[%d]" (List.length children)
 
 let pp ppf page = Fmt.pf ppf "{%a %a}" Lsn.pp page.lsn pp_data page.data

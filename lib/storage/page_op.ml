@@ -29,19 +29,18 @@ let to_string = function
   | Drop_from { key } -> Printf.sprintf "drop_from(%s)" key
 
 let apply op (data : Page.data) : Page.data =
+  let module E = Page.Entries in
   match op, data with
-  | Put (k, v), Page.Kv entries -> Page.Kv (Page.kv_put entries k v)
-  | Put (k, v), Page.Empty -> Page.Kv [ k, v ]
-  | Del k, Page.Kv entries -> Page.Kv (Page.kv_del entries k)
-  | Del _, Page.Empty -> Page.Kv []
+  | Put (k, v), Page.Kv entries -> Page.Kv (E.add k v entries)
+  | Put (k, v), Page.Empty -> Page.Kv (E.add k v E.empty)
+  | Del k, Page.Kv entries -> Page.Kv (E.remove k entries)
+  | Del _, Page.Empty -> Page.Kv E.empty
   | Set_bytes s, (Page.Empty | Page.Bytes _) -> Page.Bytes s
-  | Leaf_put (k, v), Page.Node (Page.Leaf entries) ->
-    Page.Node (Page.Leaf (Page.kv_put entries k v))
-  | Leaf_put (k, v), Page.Empty -> Page.Node (Page.Leaf [ k, v ])
-  | Leaf_del k, Page.Node (Page.Leaf entries) ->
-    Page.Node (Page.Leaf (Page.kv_del entries k))
-  | Leaf_del _, Page.Empty -> Page.Node (Page.Leaf [])
-  | Init_leaf entries, _ -> Page.Node (Page.Leaf (Page.sorted_kv entries))
+  | Leaf_put (k, v), Page.Node (Page.Leaf entries) -> Page.Node (Page.Leaf (E.add k v entries))
+  | Leaf_put (k, v), Page.Empty -> Page.Node (Page.Leaf (E.add k v E.empty))
+  | Leaf_del k, Page.Node (Page.Leaf entries) -> Page.Node (Page.Leaf (E.remove k entries))
+  | Leaf_del _, Page.Empty -> Page.Node (Page.Leaf E.empty)
+  | Init_leaf entries, _ -> Page.Node (Page.Leaf (E.of_bindings entries))
   | Init_internal { seps; children }, _ -> Page.Node (Page.Internal { seps; children })
   | Internal_add { sep; right }, Page.Node (Page.Internal { seps; children }) ->
     (* Insert separator in key order; the new child sits to its right. *)
@@ -58,9 +57,8 @@ let apply op (data : Page.data) : Page.data =
     let seps, children = go seps children in
     Page.Node (Page.Internal { seps; children })
   | Drop_from { key }, Page.Node (Page.Leaf entries) ->
-    Page.Node (Page.Leaf (List.filter (fun (k, _) -> String.compare k key < 0) entries))
-  | Drop_from { key }, Page.Kv entries ->
-    Page.Kv (List.filter (fun (k, _) -> String.compare k key < 0) entries)
+    Page.Node (Page.Leaf (fst (E.split key entries)))
+  | Drop_from { key }, Page.Kv entries -> Page.Kv (fst (E.split key entries))
   | Drop_from { key }, Page.Node (Page.Internal { seps; children }) ->
     (* Keep separators strictly below the split key and the children to
        their left (the median separator moves up to the parent). *)

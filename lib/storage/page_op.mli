@@ -16,7 +16,9 @@ type t =
   | Set_bytes of string  (** Blindly replace a raw page. *)
   | Leaf_put of string * string  (** Insert into a B-tree leaf. *)
   | Leaf_del of string
-  | Init_leaf of (string * string) list  (** Blind-format a leaf with these entries. *)
+  | Init_leaf of (string * string) list
+      (** Blind-format a leaf with these entries (any order; of a
+          repeated key, the last wins). *)
   | Init_internal of { seps : string list; children : int list }
   | Internal_add of { sep : string; right : int }
       (** Record a child split in an internal node. *)

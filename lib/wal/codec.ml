@@ -42,10 +42,10 @@ let put_data buf (data : Page.data) =
     put_string buf s
   | Page.Kv entries ->
     put_u8 buf 2;
-    put_entries buf entries
+    put_entries buf (Page.Entries.bindings entries)
   | Page.Node (Page.Leaf entries) ->
     put_u8 buf 3;
-    put_entries buf entries
+    put_entries buf (Page.Entries.bindings entries)
   | Page.Node (Page.Internal { seps; children }) ->
     put_u8 buf 4;
     put_strings buf seps;
@@ -154,8 +154,9 @@ let encode_record (r : Record.t) =
 
    [encoded_size] runs on every append (the log manager's byte
    accounting), so it must not actually encode: these mirror the put_
-   functions above byte-for-byte, allocation-free. [t_codec] pins the
-   mirror to the encoder over every payload shape. *)
+   functions above byte-for-byte, allocating nothing but a page image's
+   bindings (physical records only). [t_codec] pins the mirror to the
+   encoder over every payload shape. *)
 
 let size_u8 = 1
 let size_u32 = 4
@@ -172,8 +173,8 @@ let size_data (data : Page.data) =
   match data with
   | Page.Empty -> size_u8
   | Page.Bytes s -> size_u8 + size_string s
-  | Page.Kv entries -> size_u8 + size_entries entries
-  | Page.Node (Page.Leaf entries) -> size_u8 + size_entries entries
+  | Page.Kv entries | Page.Node (Page.Leaf entries) ->
+    size_u8 + size_entries (Page.Entries.bindings entries)
   | Page.Node (Page.Internal { seps; children }) ->
     size_u8 + size_strings seps + size_ints children
 
@@ -268,8 +269,8 @@ let get_data c : Page.data =
   match get_u8 c with
   | 0 -> Page.Empty
   | 1 -> Page.Bytes (get_string c)
-  | 2 -> Page.Kv (get_entries c)
-  | 3 -> Page.Node (Page.Leaf (get_entries c))
+  | 2 -> Page.Kv (Page.Entries.of_bindings (get_entries c))
+  | 3 -> Page.Node (Page.Leaf (Page.Entries.of_bindings (get_entries c)))
   | 4 ->
     let seps = get_strings c in
     let children = get_ints c in

@@ -296,7 +296,12 @@ let force_async t ~upto =
   { tk_log = t; tk_upto = upto }
 
 let await tk =
-  if Lsn.(tk.tk_log.flushed < tk.tk_upto) then force tk.tk_log ~upto:tk.tk_upto
+  let t = tk.tk_log in
+  if Lsn.(t.flushed < tk.tk_upto) then force t ~upto:tk.tk_upto
+  else if Oplat.enabled () then
+    (* Already stable, but a traced durable ticket completes only at
+       the committer's ack, which its barrier gives on both paths. *)
+    match t.group with Some g -> g.g_barrier tk.tk_upto | None -> ()
 
 let ticket_lsn tk = tk.tk_upto
 let ticket_stable tk = Lsn.(tk.tk_upto <= tk.tk_log.flushed)

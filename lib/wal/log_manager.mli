@@ -82,8 +82,11 @@ val force_async : t -> upto:Lsn.t -> ticket
 
 val await : ticket -> unit
 (** Block until the ticket's records are stable. Equivalent to [force]
-    up to the ticket's LSN: cheap if a group force already covered it,
-    a barrier otherwise. *)
+    up to the ticket's LSN: cheap if a group force already covered it
+    (one LSN compare), a barrier otherwise. With {!Redo_obs.Oplat}
+    enabled, an await on a ticket that is already stable still passes
+    through the committer's barrier, whose ack completes the traced
+    durable operation. *)
 
 val ticket_lsn : ticket -> Lsn.t
 

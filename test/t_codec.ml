@@ -97,8 +97,8 @@ let rand_data rng : Page.data =
   match Random.State.int rng 5 with
   | 0 -> Page.Empty
   | 1 -> Page.Bytes (rand_string rng)
-  | 2 -> Page.Kv (rand_entries rng)
-  | 3 -> Page.Node (Page.Leaf (rand_entries rng))
+  | 2 -> Util.kv (rand_entries rng)
+  | 3 -> Util.leaf (rand_entries rng)
   | _ ->
     let n = Random.State.int rng 4 in
     Page.Node
@@ -186,6 +186,32 @@ let test_decode_rejects_garbage () =
   match Codec.decode_record (Codec.encode_record r ^ "x") with
   | exception Codec.Decode_error _ -> ()
   | _ -> Alcotest.fail "trailing bytes should fail"
+
+(* Page images are written in key order, byte for byte as the list-era
+   page wrote them (hex captured from it). *)
+let test_page_image_golden_bytes () =
+  let physical =
+    Record.make ~lsn:(Lsn.of_int 42)
+      (Record.Physical { pid = 3; image = Util.kv [ "c", ""; "a", "1"; "bb", "22" ] })
+  in
+  Alcotest.(check string) "physical record with a kv image"
+    "000000000000002a010000000000000003020000000300000001610000000131000000026262000000023232000000016300000000"
+    (Util.hex (Codec.encode_record physical));
+  let init_leaf =
+    Record.make ~lsn:(Lsn.of_int 7)
+      (Record.Physiological { pid = 5; op = Page_op.Init_leaf [ "m", "2"; "z", "3" ] })
+  in
+  Alcotest.(check string) "init_leaf record"
+    "00000000000000070200000000000000050500000002000000016d0000000132000000017a0000000133"
+    (Util.hex (Codec.encode_record init_leaf));
+  List.iter
+    (fun r ->
+      Alcotest.(check int) "encoded_size"
+        (String.length (Codec.encode_record r))
+        (Codec.encoded_size r);
+      Alcotest.(check string) "round trip" (Codec.encode_record r)
+        (Codec.encode_record (Codec.decode_record (Codec.encode_record r))))
+    [ physical; init_leaf ]
 
 let test_stable_log_roundtrip () =
   let log = Stable_log.create () in
@@ -434,6 +460,7 @@ let suite =
       test_decode_window_rejects_out_of_range;
     Alcotest.test_case "crash restore refills the slot array" `Quick test_restore_refills_slots;
     Alcotest.test_case "decode rejects garbage" `Quick test_decode_rejects_garbage;
+    Alcotest.test_case "page images: list-era bytes" `Quick test_page_image_golden_bytes;
     Alcotest.test_case "stable log roundtrip" `Quick test_stable_log_roundtrip;
     Alcotest.test_case "stable log torn tail" `Quick test_stable_log_torn_tail;
     Alcotest.test_case "stable log corruption" `Quick test_stable_log_corruption;

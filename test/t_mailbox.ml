@@ -2,8 +2,9 @@
    path a task takes — posted, called through a ticket, or run by its
    caller on an idle mailbox. Three producer domains mix the three over
    random interleavings; the rest pins each path, the three exception
-   routes, drain and close around an inline run, closed-mailbox errors
-   and backpressure at capacity 1. Tests that block on another domain
+   routes, drain and close around an inline run, closed-mailbox errors,
+   backpressure at capacity 1 and the half-queue wake-up of a producer
+   blocked on a full queue. Tests that block on another domain
    run under a watchdog, so a lost wake-up fails the suite instead of
    hanging it. *)
 
@@ -249,6 +250,85 @@ let test_capacity_one () =
   Mailbox.drain mb;
   Alcotest.(check (list int)) "FIFO through the full queue" [ 1; 2; 3; 4 ] (List.rev !order)
 
+(* A producer blocked on a full queue resumes only once the consumer
+   has drained it to half its capacity. Task [i] records that it has
+   been taken, then waits until [allowed] reaches [i]: with the queue
+   filled behind the parked consumer, each step lets the consumer take
+   exactly one more task. *)
+let test_half_queue_wake_up () =
+  Util.with_timeout ~seconds:30. "half-queue wake-up" @@ fun () ->
+  let capacity = 8 in
+  with_mailbox ~capacity @@ fun mb ->
+  let taken = Atomic.make 0 and allowed = Atomic.make 0 in
+  let order = ref [] in
+  let task i () =
+    order := i :: !order;
+    Atomic.set taken i;
+    while Atomic.get allowed < i do
+      Unix.sleepf 0.0005
+    done
+  in
+  let release = park mb in
+  for i = 1 to capacity do
+    Mailbox.post mb (task i)
+  done;
+  let returned = Atomic.make false in
+  let producer =
+    Domain.spawn (fun () ->
+        Mailbox.post mb (task (capacity + 1));
+        Atomic.set returned true)
+  in
+  (* Open every gate on the way out, so a failed check ends the test
+     instead of leaving the close waiting on a gated task. *)
+  Fun.protect ~finally:(fun () ->
+      Atomic.set release true;
+      Atomic.set allowed max_int;
+      Domain.join producer)
+  @@ fun () ->
+  settle ();
+  Alcotest.(check bool) "blocks on a full queue" false (Atomic.get returned);
+  Atomic.set release true;
+  for i = 1 to (capacity / 2) - 1 do
+    if i > 1 then Atomic.set allowed (i - 1);
+    while Atomic.get taken < i do
+      Unix.sleepf 0.0005
+    done;
+    settle ();
+    Alcotest.(check int) (Printf.sprintf "%d taken: depth" i) (capacity - i) (Mailbox.depth mb);
+    Alcotest.(check bool) (Printf.sprintf "%d taken: still blocked" i) false (Atomic.get returned)
+  done;
+  (* The consumer takes the fourth task: the queue is down to half. *)
+  Atomic.set allowed ((capacity / 2) - 1);
+  wait_for returned;
+  Alcotest.(check int) "half a queue plus the resumed post" ((capacity / 2) + 1) (Mailbox.depth mb);
+  Atomic.set allowed (capacity + 1);
+  Mailbox.drain mb;
+  Alcotest.(check (list int)) "FIFO" (List.init (capacity + 1) (fun i -> i + 1)) (List.rev !order)
+
+(* A close wakes a producer blocked on a full queue at once, long before
+   the parked consumer could drain it to half, and its post raises. *)
+let test_close_wakes_blocked_producer () =
+  Util.with_timeout ~seconds:30. "close wakes a blocked producer" @@ fun () ->
+  let capacity = 8 in
+  with_mailbox ~capacity @@ fun mb ->
+  let release = park mb in
+  Fun.protect ~finally:(fun () -> Atomic.set release true) @@ fun () ->
+  for _ = 1 to capacity do
+    Mailbox.post mb ignore
+  done;
+  let producer =
+    Domain.spawn (fun () ->
+        match Mailbox.post mb ignore with
+        | () -> false
+        | exception Invalid_argument _ -> true)
+  in
+  settle ();
+  let closer = Domain.spawn (fun () -> Mailbox.close mb) in
+  Alcotest.(check bool) "the blocked post raises" true (Domain.join producer);
+  Alcotest.(check int) "the consumer is still parked" capacity (Mailbox.depth mb);
+  Atomic.set release true;
+  Domain.join closer
+
 let suite =
   [
     Util.qtest ~count:50 "three producers mix post, call and run" mixed_producers;
@@ -259,4 +339,8 @@ let suite =
     Alcotest.test_case "close during an inline run" `Quick test_close_during_inline_run;
     Alcotest.test_case "run, post and call after close raise" `Quick test_closed_rejects;
     Alcotest.test_case "capacity 1: backpressure, no deadlock" `Quick test_capacity_one;
+    Alcotest.test_case "capacity 8: a full queue wakes its producer at half" `Quick
+      test_half_queue_wake_up;
+    Alcotest.test_case "close wakes a producer blocked on a full queue" `Quick
+      test_close_wakes_blocked_producer;
   ]

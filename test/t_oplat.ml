@@ -260,9 +260,6 @@ let test_inline_put_durable () =
   let i0 = Metrics.count inline in
   Redo_wal.Log_manager.await (SS.put_durable store "k" "v");
   Alcotest.(check int) "the durable put ran inline" (i0 + 1) (Metrics.count inline);
-  (* A flusher force that beat the barrier leaves the ticket to [sync]'s
-     drain (an await on a stable ticket does not ack). *)
-  SS.sync store;
   let r = Oplat.report () in
   Alcotest.(check int) "sampled" 1 r.Oplat.r_sampled;
   Alcotest.(check int) "folded exactly once" 1 r.Oplat.r_completed;
@@ -276,6 +273,28 @@ let test_inline_put_durable () =
     (Printf.sprintf "stage sums %.0f ns = end to end %.0f ns" stages e2e)
     true
     (e2e > 0. && Float.abs (stages -. e2e) <= 1e-9 *. e2e)
+
+(* A force that lands between a durable put and its [await] (the
+   background flusher's, or another client's barrier) leaves the
+   ticket stable before the await: the await must still ack it. The
+   force here is the flusher's own entry point, which acks nothing. *)
+let test_await_stable_ticket_acks () =
+  with_oplat @@ fun () ->
+  let module LM = Redo_wal.Log_manager in
+  let lm = LM.create () in
+  let gc = Redo_wal.Group_commit.create ~mode:Redo_wal.Group_commit.Inline lm in
+  Fun.protect ~finally:(fun () -> Redo_wal.Group_commit.detach gc) @@ fun () ->
+  let lsn = LM.append lm (Redo_wal.Record.App_op { tag = "t"; body = "durable" }) in
+  let tk = take_ticket () in
+  Oplat.stamp_dequeue tk ~shard:0;
+  Oplat.stamp_apply tk;
+  Oplat.register tk ~lsn:(Redo_storage.Lsn.to_int lsn) ~durable:true;
+  let ticket = LM.force_async lm ~upto:lsn in
+  LM.force_direct lm ~upto:lsn;
+  Alcotest.(check bool) "stable before the await" true (LM.ticket_stable ticket);
+  Alcotest.(check int) "not completed by the force" 0 (Oplat.report ()).Oplat.r_completed;
+  LM.await ticket;
+  Alcotest.(check int) "completed by the await" 1 (Oplat.report ()).Oplat.r_completed
 
 let suite =
   [
@@ -293,4 +312,6 @@ let suite =
     Alcotest.test_case "sharded service integration" `Quick test_service_integration;
     Alcotest.test_case "inline durable put: one ticket, exact sums" `Quick
       test_inline_put_durable;
+    Alcotest.test_case "await on a stable durable ticket acks it" `Quick
+      test_await_stable_ticket_acks;
   ]

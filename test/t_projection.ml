@@ -14,7 +14,7 @@ let lookup_of bindings v =
   | None -> Page.to_value Page.empty
 
 let test_physical_op () =
-  let op = Projection.physical_op ~lsn:(lsn 4) ~pid:3 (Page.Kv [ "a", "1" ]) in
+  let op = Projection.physical_op ~lsn:(lsn 4) ~pid:3 (Util.kv [ "a", "1" ]) in
   Util.check_var_set "no reads" [] (Op.reads op);
   Util.check_var_set "writes the page" [ "pg:3" ] (Op.writes op);
   let effects = Op.effects op (State.make []) in
@@ -23,25 +23,25 @@ let test_physical_op () =
     Alcotest.(check string) "var" "pg:3" (Var.to_string v);
     let page = Page.of_value value in
     Alcotest.(check int) "stamped lsn" 4 (Lsn.to_int (Page.lsn page));
-    Alcotest.(check bool) "image" true (Page.data_equal (Page.data page) (Page.Kv [ "a", "1" ]))
+    Alcotest.(check bool) "image" true (Page.data_equal (Page.data page) (Util.kv [ "a", "1" ]))
   | _ -> Alcotest.fail "expected one write")
 
 let test_physiological_rmw () =
   let op = Projection.physiological_op ~lsn:(lsn 7) ~pid:2 (Page_op.Put ("k", "v")) in
   Util.check_var_set "reads its page" [ "pg:2" ] (Op.reads op);
-  let before = Page.make ~lsn:(lsn 5) (Page.Kv [ "j", "0" ]) in
+  let before = Page.make ~lsn:(lsn 5) (Util.kv [ "j", "0" ]) in
   let state = State.make [ Var.page 2, Page.to_value before ] in
   let after = Page.of_value (List.assoc (Var.page 2) (Op.effects op state)) in
   Alcotest.(check int) "lsn bumped" 7 (Lsn.to_int (Page.lsn after));
   Alcotest.(check bool) "record added" true
-    (Page.data_equal (Page.data after) (Page.Kv [ "j", "0"; "k", "v" ]))
+    (Page.data_equal (Page.data after) (Util.kv [ "j", "0"; "k", "v" ]))
 
 let test_physiological_blind () =
   let op = Projection.physiological_op ~lsn:(lsn 9) ~pid:2 (Page_op.Init_leaf [ "m", "1" ]) in
   Util.check_var_set "blind: no reads" [] (Op.reads op);
   let after = Page.of_value (List.assoc (Var.page 2) (Op.effects op (State.make []))) in
   Alcotest.(check bool) "formatted" true
-    (Page.data_equal (Page.data after) (Page.Node (Page.Leaf [ "m", "1" ])))
+    (Page.data_equal (Page.data after) (Util.leaf [ "m", "1" ]))
 
 let test_multi_split () =
   let op =
@@ -49,11 +49,11 @@ let test_multi_split () =
   in
   Util.check_var_set "reads src" [ "pg:1" ] (Op.reads op);
   Util.check_var_set "writes dst" [ "pg:2" ] (Op.writes op);
-  let src = Page.make ~lsn:(lsn 3) (Page.Node (Page.Leaf [ "a", "1"; "m", "2"; "z", "3" ])) in
+  let src = Page.make ~lsn:(lsn 3) (Util.leaf [ "a", "1"; "m", "2"; "z", "3" ]) in
   let state = State.make [ Var.page 1, Page.to_value src ] in
   let dst = Page.of_value (List.assoc (Var.page 2) (Op.effects op state)) in
   Alcotest.(check bool) "upper half moved" true
-    (Page.data_equal (Page.data dst) (Page.Node (Page.Leaf [ "m", "2"; "z", "3" ])))
+    (Page.data_equal (Page.data dst) (Util.leaf [ "m", "2"; "z", "3" ]))
 
 let test_logical_op () =
   let locate _ = 1 in
@@ -66,12 +66,12 @@ let test_logical_op () =
   let effects = Op.effects op initial in
   let data_of pid = Page.data_of_value (List.assoc (Var.page pid) effects) in
   Alcotest.(check bool) "target page updated" true
-    (Page.data_equal (data_of 1) (Page.Kv [ "k", "v" ]));
+    (Page.data_equal (data_of 1) (Util.kv [ "k", "v" ]));
   Alcotest.(check bool) "other page untouched" true (Page.data_equal (data_of 0) Page.Empty)
 
 let test_stable_state_of_disk () =
   let disk = Disk.create () in
-  Disk.write disk 0 (Page.make ~lsn:(lsn 6) (Page.Kv [ "q", "7" ]));
+  Disk.write disk 0 (Page.make ~lsn:(lsn 6) (Util.kv [ "q", "7" ]));
   let st = Projection.stable_state_of_disk ~lsn_values:true disk [ 0; 1 ] in
   let p0 = Page.of_value (State.get st (Var.page 0)) in
   Alcotest.(check int) "page 0 lsn" 6 (Lsn.to_int (Page.lsn p0));

@@ -35,7 +35,7 @@ let test_accepts_redo_everything () =
 let test_accepts_lsn_consistent_prefix () =
   (* Page 0 flushed after op 1: the redo test skips op 1 only. *)
   let stable =
-    State.set (stable_after_none ()) (Var.page 0) (page 1 (Page.Kv [ "a", "1" ]))
+    State.set (stable_after_none ()) (Var.page 0) (page 1 (Util.kv [ "a", "1" ]))
   in
   let report =
     Theory_check.check (projection ~stable ~redo_ids:[ "op000002"; "op000003" ])
@@ -46,7 +46,7 @@ let test_rejects_non_prefix () =
   (* Claiming op 2 installed while op 1 is not: ops 1 and 2 are a
      write-write/rmw chain on page 0, so {op2} is not a prefix. *)
   let stable =
-    State.set (stable_after_none ()) (Var.page 0) (page 2 (Page.Kv [ "b", "2" ]))
+    State.set (stable_after_none ()) (Var.page 0) (page 2 (Util.kv [ "b", "2" ]))
   in
   let report = Theory_check.check (projection ~stable ~redo_ids:[ "op000001"; "op000003" ]) in
   Alcotest.(check bool) "rejected" true (report.Theory_check.failure <> None);
@@ -113,7 +113,7 @@ let test_sharded_leg_runs () =
       Theory_check.check ~domains
         (projection
            ~stable:
-             (State.set (stable_after_none ()) (Var.page 0) (page 1 (Page.Kv [ "a", "1" ])))
+             (State.set (stable_after_none ()) (Var.page 0) (page 1 (Util.kv [ "a", "1" ])))
            ~redo_ids:[ "op000002"; "op000003" ])
     in
     Alcotest.(check (option string)) "ok" None report.Theory_check.failure;
@@ -128,7 +128,7 @@ let test_sharded_leg_in_failed_reports () =
   (* A rejected projection fails before (or regardless of) the sharded
      leg; the report's sharded fields must still be coherent. *)
   let stable =
-    State.set (stable_after_none ()) (Var.page 0) (page 2 (Page.Kv [ "b", "2" ]))
+    State.set (stable_after_none ()) (Var.page 0) (page 2 (Util.kv [ "b", "2" ]))
   in
   let report = Theory_check.check (projection ~stable ~redo_ids:[ "op000001"; "op000003" ]) in
   Alcotest.(check bool) "rejected" true (report.Theory_check.failure <> None);

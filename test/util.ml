@@ -26,6 +26,13 @@ let check_value msg expected actual =
 
 let cg_of exec = Conflict_graph.of_exec exec
 
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* Page payloads from binding lists. *)
+let kv bindings = Redo_storage.Page.Kv (Redo_storage.Page.Entries.of_bindings bindings)
+let leaf bindings = Redo_storage.Page.(Node (Leaf (Entries.of_bindings bindings)))
+
 (* Run a qcheck property over deterministic seeds. *)
 let qtest ?(count = 100) name prop =
   QCheck_alcotest.to_alcotest
