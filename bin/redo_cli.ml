@@ -682,11 +682,17 @@ let serve_bench shards ops keys theta partitions cache restart do_check do_triag
           incr failures
       else Fmt.pr "  invariant: skipped (n > 10000; use a smaller -n to project the log)@."
     end;
+    (* A restart decodes each record it redoes, once, where its page is
+       drained; the open decodes the rest: the checkpoint and the shard
+       records after the redo start. *)
     (match restart with
     | `Eager ->
+      let decoded0 = count "stable_log.frames_decoded" in
       let r = SS.recover store in
       Fmt.pr "  recovery: %d scanned, %d redone, %d skipped (analysis %d)@." r.SS.scanned
-        r.SS.redone r.SS.skipped r.SS.analysis_scanned
+        r.SS.redone r.SS.skipped r.SS.analysis_scanned;
+      let decoded = count "stable_log.frames_decoded" - decoded0 in
+      Fmt.pr "  eager: frames decoded: open %d, redo %d@." (decoded - r.SS.redone) r.SS.redone
     | `Instant ->
       (* Instant restart: time the open, serve a hot read while the
          queues are still draining, then wait out the sweeper for the
@@ -708,16 +714,9 @@ let serve_bench shards ops keys theta partitions cache restart do_check do_triag
       let ttfr_ns = (Unix.gettimeofday () -. t_open) *. 1e9 in
       Fmt.pr "  instant: recovery total in %a (%d demand drains, %d sweeper drains)@." pp_ns
         ttfr_ns demand swept;
-      (* Each record a drain applies is decoded once, there; the open
-         decodes the rest: the checkpoint and the shard records after
-         the redo start. *)
-      let after = SS.stats store in
-      let drained =
-        after.SS.records_redone - before.SS.records_redone + after.SS.records_skipped
-        - before.SS.records_skipped - r.SS.skipped
-      in
+      let redone = (SS.stats store).SS.records_redone - before.SS.records_redone in
       let decoded = count "stable_log.frames_decoded" - decoded0 in
-      Fmt.pr "  instant: frames decoded: open %d, drains %d@." (decoded - drained) drained;
+      Fmt.pr "  instant: frames decoded: open %d, drains %d@." (decoded - redone) redone;
       if SS.recovery_pending store <> 0 then begin
         Fmt.pr "  instant: PAGES STILL PENDING AFTER AWAIT@.";
         incr failures

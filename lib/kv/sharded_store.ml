@@ -403,55 +403,28 @@ let crash_torn t ~drop = crash_with t ~torn:true ~drop
 
 (* ---- recovery ------------------------------------------------------- *)
 
-(* Replay one page's or one shard's LSNs under the page-LSN redo test,
-   on the owner domain, without re-logging (these records are already
-   stable). The LSNs left are those [Page_redo.redo_pages] did not clear
-   as surely on disk: only they are decoded, each once, here. *)
-let replay_lsns (s : shard) a lsns =
-  let redone = ref 0 and skipped = ref 0 in
-  Array.iter
-    (fun lsn ->
-      match Record.payload (Page_redo.record a lsn) with
-      | Record.Physiological { pid; op } ->
-        if Page_redo.redo_one s.cache ~pid ~lsn Page_op.apply op then incr redone
-        else incr skipped
-      | _ -> assert false)
-    lsns;
-  !redone, !skipped
-
-(* The lazy drain of one page's queue. The plan excluded everything
-   surely on disk, so the only skips here are records a previous partial
-   restart already applied. *)
-let lazy_apply t a ~shard ~pid:_ lsns =
-  let redone, skipped = replay_lsns t.shard_arr.(shard) a lsns in
+(* The lazy drain of one page's queue, in a task of its shard: the
+   page-LSN redo without re-logging (these records are already stable).
+   The plan excluded what the analysis proves is on disk; the page-LSN
+   test skips what the page holds beyond that (a flush after the
+   checkpoint, or a previous partial restart). *)
+let lazy_apply t a ~shard ~pid lsns =
+  let redone, skipped = Page_redo.drain a t.shard_arr.(shard).cache ~pid lsns in
   Metrics.add c_replayed redone;
   ignore (Atomic.fetch_and_add t.redone redone);
   ignore (Atomic.fetch_and_add t.skipped skipped);
   redone, skipped
 
-(* The LSNs to redo, bucketed by owning shard in LSN order: count, then
-   fill exact-sized arrays. *)
-let shard_buckets t ~first pages =
-  let first = Lsn.to_int first in
-  let counts = Array.make t.nshards 0 in
-  Array.iter
+(* The eager drain of every queued page a shard owns, on its owner. *)
+let drain_shard (s : shard) a queues =
+  let redone = ref 0 and skipped = ref 0 in
+  List.iter
     (fun pid ->
-      if pid >= 0 then begin
-        let b = pid mod t.nshards in
-        counts.(b) <- counts.(b) + 1
-      end)
-    pages;
-  let buckets = Array.map (fun n -> Array.make n Lsn.zero) counts in
-  let fill = Array.make t.nshards 0 in
-  Array.iteri
-    (fun i pid ->
-      if pid >= 0 then begin
-        let b = pid mod t.nshards in
-        buckets.(b).(fill.(b)) <- Lsn.of_int (first + i);
-        fill.(b) <- fill.(b) + 1
-      end)
-    pages;
-  buckets
+      let r, k = Page_redo.drain a s.cache ~pid queues.(pid) in
+      redone := !redone + r;
+      skipped := !skipped + k)
+    s.pages;
+  !redone, !skipped
 
 let recover ?(mode = `Eager) t =
   ensure_open t;
@@ -471,7 +444,7 @@ let recover ?(mode = `Eager) t =
   (* The analysis is read-only once built, and reads the log through a
      view that is safe on any domain: sharing it with the owner domains
      is safe. It decodes only the checkpoint and the shard records it
-     needs; the replays below decode the records they redo. *)
+     needs; the page drains below decode the records they redo. *)
   let a = Page_redo.analyze t.log ~pages:t.n_partitions in
   let first, last = Page_redo.slice a in
   let scanned = Int.max 0 (Lsn.to_int last - Lsn.to_int first + 1) in
@@ -505,28 +478,20 @@ let recover ?(mode = `Eager) t =
     end;
     { scanned; redone = 0; skipped = preskipped; analysis_scanned }
   | `Eager ->
-    (* Bucket the redo slice's LSNs by owning shard — the plan
-       [Core.Partition] would compute, coarsened to the static shard
-       boundaries (each record touches one page; pages never change
-       owner; so the buckets are conflict-closed and replay in parallel
-       by Theorem 3). *)
-    let pages, preskipped = Page_redo.redo_pages a in
-    let buckets = shard_buckets t ~first pages in
+    (* The same per-page queues, each drained by its page's owner: each
+       record touches one page and pages never change owner, so the
+       shards' page sets are conflict-closed and drain in parallel, in
+       any page order (Theorem 3). *)
+    let queues, preskipped = Page_redo.queues a in
     let parent = Span.current () in
     let results =
-      let tickets =
-        Array.mapi
-          (fun i s ->
-            let lsns = buckets.(i) in
-            Mailbox.call s.mailbox (fun () ->
-                if Span.enabled () then
-                  Span.span ~parent "kv.shard.recover"
-                    ~attrs:[ "shard", Span.Int s.index; "records", Span.Int (Array.length lsns) ]
-                    (fun () -> replay_lsns s a lsns)
-                else replay_lsns s a lsns))
-          t.shard_arr
-      in
-      Array.map Mailbox.Ticket.await tickets
+      on_shards t (fun s ->
+          if Span.enabled () then
+            let records = List.fold_left (fun n pid -> n + Array.length queues.(pid)) 0 s.pages in
+            Span.span ~parent "kv.shard.recover"
+              ~attrs:[ "shard", Span.Int s.index; "records", Span.Int records ]
+              (fun () -> drain_shard s a queues)
+          else drain_shard s a queues)
     in
     let redone = Array.fold_left (fun acc (r, _) -> acc + r) 0 results in
     let skipped = Array.fold_left (fun acc (_, s) -> acc + s) preskipped results in

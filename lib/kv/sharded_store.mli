@@ -33,9 +33,9 @@
     ({!Redo_ckpt.Installer}) per shard on its owner domain (shard
     records piggyback on the group committer); {!crash} loses every
     volatile cache and the unforced log tail behind the same flight
-    gate the simulator uses; {!recover} buckets the stable log by owner
-    and replays shards in parallel under the per-shard horizon and
-    page-LSN tests.
+    gate the simulator uses; {!recover} buckets the stable log into
+    per-page redo queues and drains each on its page's owner, shards in
+    parallel, under the per-shard horizon and page-LSN tests.
 
     Every run is certifiable: {!verify_recovery_invariant} projects the
     crashed store into the theory (Section 4.5), and {!certify} checks
@@ -166,23 +166,25 @@ val recover : ?mode:[ `Eager | `Instant ] -> t -> recovery_stats
     redo start and redo slice), then redo per [mode] (default
     [`Eager]). Both modes skip a record when
     {!Redo_restart.Page_redo.surely_on_disk} holds (a per-shard horizon
-    or the dirty-page table proves it installed) and otherwise apply it
-    under the page-LSN test {!Redo_restart.Page_redo.redo_one} — the
-    same analysis and tests the physiological method recovers with.
+    or the dirty-page table proves it installed), queue the rest per
+    page ({!Redo_restart.Page_redo.queues}), and redo each page's queue
+    with one drain ({!Redo_restart.Page_redo.drain}): one page-LSN test
+    per page, then the records past the page's LSN applied in one cache
+    update — the same analysis, queues and drain the physiological
+    method recovers with.
 
-    Nothing is decoded to plan the redo: the analysis and the buckets
-    or queues below work from the page ids peeked from the frames, and
-    decode only the checkpoint and the shard records after the redo
-    start. A record is decoded on the owner domain that redoes it, once,
-    after the horizon/DPT test, so a record the test clears is never
-    decoded.
+    Nothing is decoded to plan the redo: the analysis and the queues
+    work from the page ids peeked from the frames, and decode only the
+    checkpoint and the shard records after the redo start. A record is
+    decoded on the owner domain that redoes it, once, and only if its
+    page's LSN is below its own, so a record either test clears is
+    never decoded.
 
-    - [`Eager]: bucket the slice's LSNs by owning shard and replay all
-      shards in parallel on their owner domains, each bucket in LSN
-      order. Returns after the recovered set is total.
-    - [`Instant]: partition the same records into per-page queues of
-      LSNs (excluding everything the horizon/DPT test already clears)
-      and return {e before replaying anything} — the store serves
+    - [`Eager]: every shard drains its own pages' queues on its owner
+      domain, all shards in parallel. Returns after the recovered set
+      is total.
+    - [`Instant]: take the same queues as a lazy plan and return
+      {e before replaying anything} — the store serves
       immediately. A page's queue drains on its owner domain the first
       time an operation touches the page, and a background sweeper
       drains the cold pages longest-queue-first until the recovered

@@ -104,23 +104,20 @@ let crash_torn t ~drop =
    or decoding the record, and falls back to the LSN redo test of
    Section 6.3: "If the page LSN is at least as high as the operation's
    LSN, then the operation is already installed and is bypassed during
-   recovery." *)
+   recovery." Every record touches one page, so the pages' redo tails
+   replay in any order (Theorem 3): one drain per page, one test per
+   drain. *)
 let recover t =
   let a = Page_redo.analyze t.log ~pages:t.partitions in
   let first, last = Page_redo.slice a in
-  let pages, preskipped = Page_redo.redo_pages a in
+  let queues, preskipped = Page_redo.queues a in
   let redone = ref 0 and skipped = ref preskipped in
   Array.iteri
-    (fun i pid ->
-      if pid >= 0 then begin
-        let lsn = Lsn.of_int (Lsn.to_int first + i) in
-        match Record.payload (Page_redo.record a lsn) with
-        | Record.Physiological { pid; op } ->
-          if Page_redo.redo_one t.cache ~pid ~lsn Page_op.apply op then incr redone
-          else incr skipped
-        | _ -> assert false
-      end)
-    pages;
+    (fun pid q ->
+      let r, k = Page_redo.drain a t.cache ~pid q in
+      redone := !redone + r;
+      skipped := !skipped + k)
+    queues;
   {
     Method_intf.scanned = Int.max 0 (Lsn.to_int last - Lsn.to_int first + 1);
     redone = !redone;

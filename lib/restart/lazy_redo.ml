@@ -63,47 +63,20 @@ type plan = {
          so the sweeper meets demand traffic instead of trailing it *)
 }
 
-(* The one builder: [pages.(i)] is the page the record with LSN
-   [first + i] is queued on, or -1 for one the plan leaves out. *)
-let build ~shards ~first ~pages ~preskipped =
+(* The one builder, over per-page queues from [Page_redo.queues] or
+   [Page_redo.bucket]. *)
+let build ~shards ~queues ~preskipped =
   if shards <= 0 then invalid_arg "Lazy_redo.plan: need a positive shard count";
   Metrics.incr c_plans;
-  let first = Lsn.to_int first in
-  (* Pass 1: queue sizes per page. *)
-  let counts = ref (Array.make 64 0) in
-  let ensure_room pid =
-    let len = Array.length !counts in
-    if pid >= len then begin
-      let c = Array.make (Int.max (pid + 1) (2 * len)) 0 in
-      Array.blit !counts 0 c 0 len;
-      counts := c
-    end
-  in
-  let pending = ref 0 in
-  for i = 0 to Array.length pages - 1 do
-    let pid = pages.(i) in
-    if pid >= 0 then begin
-      ensure_room pid;
-      !counts.(pid) <- !counts.(pid) + 1;
-      incr pending
-    end
-  done;
-  let counts = !counts in
-  (* Pass 2: fill exact-sized queues in LSN order (the first LSN lazily
-     allocates its page's array). *)
-  let queues = Array.make (Array.length counts) [||] in
-  let fill = Array.make (Array.length counts) 0 in
-  for i = 0 to Array.length pages - 1 do
-    let pid = pages.(i) in
-    if pid >= 0 then begin
-      let lsn = Lsn.of_int (first + i) in
-      if Array.length queues.(pid) = 0 then queues.(pid) <- Array.make counts.(pid) lsn;
-      queues.(pid).(fill.(pid)) <- lsn;
-      fill.(pid) <- fill.(pid) + 1
-    end
-  done;
-  let order = ref [] in
-  Array.iteri (fun pid c -> if c > 0 then order := (pid, c) :: !order) counts;
+  let order = ref [] and pending = ref 0 in
+  Array.iteri
+    (fun pid q ->
+      let c = Array.length q in
+      if c > 0 then begin
+        order := (pid, c) :: !order;
+        pending := !pending + c
+      end)
+    queues;
   let order = List.sort (fun (_, a) (_, b) -> compare b a) !order in
   Metrics.add c_preskipped preskipped;
   {
@@ -116,29 +89,33 @@ let build ~shards ~first ~pages ~preskipped =
   }
 
 let plan_slice ~shards a =
-  let pages, preskipped = Page_redo.redo_pages a in
-  build ~shards ~first:(fst (Page_redo.slice a)) ~pages ~preskipped
+  let queues, preskipped = Page_redo.queues a in
+  build ~shards ~queues ~preskipped
 
-(* The list form: classify the records by LSN as [Page_redo.redo_pages]
-   classifies a slice, then the builder. *)
+(* The list form: classify the records by LSN as [Page_redo.queues]
+   classifies a slice, then bucket them with the same builder. *)
 let plan ~shards ~surely_on_disk records =
   let lsn r = Lsn.to_int (Record.lsn r) in
   let first = List.fold_left (fun acc r -> Int.min acc (lsn r)) max_int records in
   let last = List.fold_left (fun acc r -> Int.max acc (lsn r)) 0 records in
   let first = Int.min first (last + 1) in
-  let pages = Array.make (last - first + 1) (-1) in
-  let preskipped = ref 0 in
+  let pids = Array.make (last - first + 1) (-1) in
+  let pages = ref 0 and preskipped = ref 0 in
   List.iter
     (fun r ->
       match Record.payload r with
       | Record.Physiological { pid; _ } ->
         if surely_on_disk ~pid ~lsn:(Record.lsn r) then incr preskipped
-        else pages.(lsn r - first) <- pid
+        else begin
+          pids.(lsn r - first) <- pid;
+          pages := Int.max !pages (pid + 1)
+        end
       | Record.Checkpoint _ | Record.Shard_checkpoint _ -> ()
       | payload ->
         invalid_arg (Fmt.str "Lazy_redo.plan: unexpected record %a" Record.pp_payload payload))
     records;
-  build ~shards ~first:(Lsn.of_int first) ~pages ~preskipped:!preskipped
+  let queues = Page_redo.bucket ~pages:!pages ~first:(Lsn.of_int first) pids in
+  build ~shards ~queues ~preskipped:!preskipped
 
 let plan_pages p = p.p_pages
 let plan_records p = p.p_records

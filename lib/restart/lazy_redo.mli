@@ -21,9 +21,9 @@
     page through the caller's [touch], the same shard-task path a
     client fault takes.
 
-    The queues hold LSNs, not records: a drain decodes its page's
-    records in the shard's task, so a restart decodes only what it
-    redoes. *)
+    The queues hold LSNs, not records: a drain ({!Page_redo.drain})
+    decodes, in the shard's task, only the records past its page's LSN,
+    so a restart decodes only what it redoes. *)
 
 type trigger =
   | Demand  (** A client operation faulted on the page. *)
@@ -34,14 +34,13 @@ type trigger =
 type plan
 
 val plan_slice : shards:int -> Page_redo.t -> plan
-(** Partition the analysis's redo slice ({!Page_redo.slice}) into
-    per-page queues of LSNs, one sub-table per owning shard
-    ([pid mod shards]), from the records' peeked page ids: nothing is
-    decoded. Records for which {!Page_redo.surely_on_disk} holds — the
-    shard-horizon ∨ dirty-page-table test eager recovery applies — are
-    excluded up front and counted as preskipped; the queues partition
-    exactly the remainder. Checkpoint records are ignored. The build
-    counts, then fills exact-sized int arrays.
+(** The analysis's per-page redo queues ({!Page_redo.queues}, the same
+    queues eager recovery drains), each page owned by shard
+    [pid mod shards]: built from the records' peeked page ids, so
+    nothing is decoded. Records for which {!Page_redo.surely_on_disk}
+    holds — the shard-horizon ∨ dirty-page-table test — are excluded up
+    front and counted as preskipped; the queues partition exactly the
+    remainder. Checkpoint records are ignored.
     @raise Invalid_argument on a non-physiological operation record or
     [shards <= 0]. *)
 
@@ -51,8 +50,8 @@ val plan :
   Redo_wal.Record.t list ->
   plan
 (** {!plan_slice} over a list of decoded records in LSN order, with the
-    caller's [surely_on_disk] test: the same builder, fed the records'
-    page ids.
+    caller's [surely_on_disk] test: the same builder
+    ({!Page_redo.bucket}), fed the records' page ids.
     @raise Invalid_argument on a non-physiological operation record or
     [shards <= 0]. *)
 
@@ -80,10 +79,10 @@ val create :
   apply:(shard:int -> pid:int -> Redo_storage.Lsn.t array -> int * int) ->
   t
 (** Take ownership of the plan's queues; every queued page starts
-    pending ({!pending_total}). [apply] replays one page's queue — it
-    decodes each LSN's record and applies it under the page-LSN redo
-    test ({!Page_redo.redo_one}) — and returns [(redone, skipped)]; it
-    is invoked in whatever shard task calls {!ensure}. *)
+    pending ({!pending_total}). [apply] replays one page's queue — in
+    the sharded store, {!Page_redo.drain} on the shard's cache — and
+    returns [(redone, skipped)]; it is invoked in whatever shard task
+    calls {!ensure}. *)
 
 val ensure : t -> pid:int -> trigger:trigger -> bool
 (** Drain the page's queue if it still has one; idempotent ([false] =

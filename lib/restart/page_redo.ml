@@ -89,20 +89,84 @@ let surely_on_disk a ~pid ~(lsn : Lsn.t) =
   | None -> true (* clean at the crash: all its updates were flushed *)
   | Some rec_lsn -> (lsn :> int) < (rec_lsn :> int)
 
-let redo_pages a =
+(* The slice classified from peeked page ids: [pids.(i)] is the page the
+   record with LSN [first + i] may redo, or -1 for a checkpoint record or
+   one [surely_on_disk] clears (counted). *)
+let classify a =
   let first, last = slice a in
   let first = Lsn.to_int first and last = Lsn.to_int last in
-  let pages = Array.make (Int.max 0 (last - first + 1)) (-1) in
+  let pids = Array.make (Int.max 0 (last - first + 1)) (-1) in
   let preskipped = ref 0 in
   for i = first to last do
     let lsn = Lsn.of_int i in
     let pid = page a lsn in
     if pid >= 0 then
-      if surely_on_disk a ~pid ~lsn then incr preskipped else pages.(i - first) <- pid
+      if surely_on_disk a ~pid ~lsn then incr preskipped else pids.(i - first) <- pid
   done;
-  pages, !preskipped
+  pids, !preskipped
+
+(* Count, then fill exact-sized arrays, a page's array allocated at its
+   first LSN: half the allocation of growing per-page lists, and no hash
+   lookup per record. Plain loops, not [Array.iter] closures: the open
+   of an instant restart runs this over every slice record. *)
+let bucket ~pages ~first pids =
+  let first = Lsn.to_int first in
+  let counts = Array.make pages 0 in
+  for i = 0 to Array.length pids - 1 do
+    let pid = pids.(i) in
+    if pid >= 0 then counts.(pid) <- counts.(pid) + 1
+  done;
+  let queues = Array.make pages [||] in
+  let fill = Array.make pages 0 in
+  for i = 0 to Array.length pids - 1 do
+    let pid = pids.(i) in
+    if pid >= 0 then begin
+      let lsn = Lsn.of_int (first + i) in
+      if fill.(pid) = 0 then queues.(pid) <- Array.make counts.(pid) lsn;
+      queues.(pid).(fill.(pid)) <- lsn;
+      fill.(pid) <- fill.(pid) + 1
+    end
+  done;
+  queues
+
+let queues a =
+  let pids, preskipped = classify a in
+  bucket ~pages:(Array.length a.dpt) ~first:(fst (slice a)) pids, preskipped
 
 let redo_one cache ~pid ~lsn update arg =
   let stale = Lsn.(Page.lsn (Cache.read cache pid) < lsn) in
   if stale then Cache.update cache pid ~lsn (update arg);
   stale
+
+(* A page's records sit in LSN order, and the page LSN only grows as
+   they are applied: the records at or below it are exactly the ones a
+   record-by-record [redo_one] would skip. Past the split the records
+   are decoded and applied one by one, each straight into the running
+   page data: a prototype that first collected a page's decoded
+   operations in an array ran 133 minor collections per recovery. *)
+let drain a cache ~pid (q : Lsn.t array) =
+  let n = Array.length q in
+  if n = 0 then 0, 0
+  else begin
+    let page = Cache.read cache pid in
+    let page_lsn = (Page.lsn page :> int) in
+    let first = ref 0 in
+    while !first < n && (q.(!first) :> int) <= page_lsn do
+      incr first
+    done;
+    let first = !first in
+    if first < n then begin
+      let data = ref (Page.data page) in
+      for i = first to n - 1 do
+        match Record.payload (record a q.(i)) with
+        | Record.Physiological { pid = p; op } when p = pid -> data := Page_op.apply op !data
+        | payload ->
+          invalid_arg
+            (Fmt.str "Page_redo.drain: record %d is not an operation on page %d: %a"
+               (Lsn.to_int q.(i)) pid Record.pp_payload payload)
+      done;
+      let data = !data in
+      Cache.update cache pid ~lsn:q.(n - 1) ~rec_lsn:q.(first) (fun _ -> data)
+    end;
+    n - first, first
+  end

@@ -364,10 +364,10 @@ let mark_dirty t e =
     q_push_front t.dirty_q e
   end
 
-let update t pid ~lsn f =
+let update ?rec_lsn t pid ~lsn f =
   let e = entry t pid in
   let data = f (Page.data e.page) in
-  if not e.dirty then e.rec_lsn <- lsn;
+  if not e.dirty then e.rec_lsn <- Option.value rec_lsn ~default:lsn;
   e.page <- Page.make ~lsn data;
   mark_dirty t e;
   t.stats.updates <- t.stats.updates + 1;

@@ -44,10 +44,14 @@ val peek : t -> int -> Page.t option
 (** The cached page, if cached — no stats, no recency movement, no disk
     fault-in. The checkpoint planner snapshots dirty images with this. *)
 
-val update : t -> int -> lsn:Lsn.t -> (Page.data -> Page.data) -> unit
+val update : ?rec_lsn:Lsn.t -> t -> int -> lsn:Lsn.t -> (Page.data -> Page.data) -> unit
 (** Apply a transformation to the cached page and stamp it with the
-    operation's LSN; the page becomes dirty. [rec_lsn] records the first
-    LSN to dirty the page since its last flush (for fuzzy checkpoints). *)
+    operation's LSN; the page becomes dirty. A clean page's recLSN, the
+    first LSN to dirty it since its last flush (for fuzzy checkpoints),
+    becomes [rec_lsn], by default [lsn]. An update that applies several
+    records at once (a redo drain, {!Redo_restart.Page_redo.drain})
+    passes the first of them: a checkpoint that recorded the last would
+    let a later redo skip the others while the disk still lacks them. *)
 
 val set_page : t -> int -> Page.t -> unit
 (** Replace the cached page wholesale (physical recovery's redo). *)

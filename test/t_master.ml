@@ -470,6 +470,10 @@ let open_decodes log ~pages =
     (1 + after) n;
   a, 1 + after
 
+(* The slice records the analysis cannot clear as surely on disk. *)
+let queued_records a =
+  Array.fold_left (fun n q -> n + Array.length q) 0 (fst (Page_redo.queues a))
+
 let test_decodes_per_restart () =
   let partitions = 16 in
   let store = Sharded_store.create ~shards:2 ~partitions ~cache_capacity:partitions () in
@@ -494,7 +498,7 @@ let test_decodes_per_restart () =
   done;
   Sharded_store.sync store;
   (* Instant: the crash decodes nothing, the open its analysis, and the
-     drains the plan's records, each once. *)
+     drains the plan's records they redo, each once. *)
   let instant what =
     let (), n = decodes (fun () -> Sharded_store.crash store) in
     Alcotest.(check int) (what ^ ": the crash decodes nothing") 0 n;
@@ -510,25 +514,28 @@ let test_decodes_per_restart () =
           st)
     in
     let after = Sharded_store.stats store in
-    Alcotest.(check int) (what ^ ": the drains apply the plan's records") queued
-      (after.records_redone - before.records_redone + after.records_skipped
-     - before.records_skipped - st.skipped);
-    Alcotest.(check int) (what ^ ": the open and the drains decode the analysis and the plan")
-      (opened + queued) n;
+    let redone = after.records_redone - before.records_redone in
+    Alcotest.(check int) (what ^ ": the drains apply or skip the plan's records") queued
+      (redone + after.records_skipped - before.records_skipped - st.skipped);
+    Alcotest.(check int)
+      (what ^ ": the open and the drains decode the analysis and the records redone")
+      (opened + redone) n;
     opened
   in
   Alcotest.(check int) "no shard record after the redo start" 1 (instant "clean");
   (* Eager: the crash decodes nothing, and the recovery the analysis and
-     each slice record it does not clear as surely on disk, once. *)
+     each record it redoes, once. Every page is cached, so the page-LSN
+     test skips none of the records not surely on disk. *)
   let (), n = decodes (fun () -> Sharded_store.crash_torn store ~drop:3) in
   Alcotest.(check int) "a torn crash decodes nothing" 0 n;
   let a, opened = open_decodes log ~pages:partitions in
-  let pages, _ = Page_redo.redo_pages a in
-  let to_redo = Array.fold_left (fun n pid -> if pid >= 0 then n + 1 else n) 0 pages in
+  let to_redo = queued_records a in
   Alcotest.(check bool) "the eager recovery has records to redo" true (to_redo > 0);
   let stats, n = decodes (fun () -> Sharded_store.recover store) in
   Alcotest.(check int) "an eager recovery decodes the analysis and the records it redoes"
-    (opened + to_redo) n;
+    (opened + stats.redone) n;
+  Alcotest.(check int) "with every page cached, it redoes every record not surely on disk"
+    to_redo stats.redone;
   (* The full-scan reference: the same crash and recovery with no
      master. It decodes nothing at the crash either. *)
   Stable_log.set_master medium None;
@@ -552,6 +559,41 @@ let test_decodes_per_restart () =
   ignore (Sharded_store.checkpoint_sharded store);
   tear_summary medium ~previous;
   Alcotest.(check bool) "shard records after the redo start" true (instant "torn summary" > 1)
+
+(* A cache of two pages per shard over eight: the puts after the master
+   evict pages, so the disk holds page versions newer than the recLSNs
+   the analysis infers. The page-LSN test then skips records that are
+   not surely on disk, and neither restart decodes them. *)
+let test_decodes_small_cache () =
+  let partitions = 16 in
+  let store = Sharded_store.create ~shards:2 ~partitions ~cache_capacity:2 () in
+  Fun.protect ~finally:(fun () -> Sharded_store.close store) @@ fun () ->
+  let log = Sharded_store.log store in
+  for i = 1 to 200 do
+    Sharded_store.put store (key i) "v"
+  done;
+  ignore (Sharded_store.checkpoint_sharded store);
+  for i = 1 to 300 do
+    Sharded_store.put store (key (i mod 200)) (string_of_int i)
+  done;
+  Sharded_store.sync store;
+  let restart what recover =
+    Sharded_store.crash store;
+    let a, opened = open_decodes log ~pages:partitions in
+    let to_redo = queued_records a in
+    let before = Sharded_store.stats store in
+    let (), n = decodes recover in
+    let redone = (Sharded_store.stats store).records_redone - before.records_redone in
+    Alcotest.(check bool) (what ^ ": the page-LSN test skips records") true (redone < to_redo);
+    Alcotest.(check int) (what ^ ": the restart decodes the analysis and the records redone")
+      (opened + redone) n
+  in
+  restart "eager" (fun () -> ignore (Sharded_store.recover store));
+  restart "instant" (fun () ->
+      ignore (Sharded_store.recover ~mode:`Instant store);
+      ignore (Sharded_store.await_recovery store));
+  Alcotest.(check bool) "the store recovers its log" true
+    (Theory_check.certificate_ok (Sharded_store.certify store ~phase:`Recovered))
 
 (* The B-tree takes its next page id from the disk and the redo slice,
    so a generalized recovery decodes the redo slice, the checkpoint and
@@ -622,6 +664,8 @@ let suite =
     Util.qtest ~count:20 "stale master = current: sharded instant"
       (prop_stale_master_sharded ~mode:`Instant);
     Alcotest.test_case "a restart decodes only what it redoes" `Quick test_decodes_per_restart;
+    Alcotest.test_case "a small cache: a restart decodes only what it redoes" `Quick
+      test_decodes_small_cache;
     Alcotest.test_case "generalized recovery decodes its redo slice" `Quick
       test_generalized_recover_decodes;
     Alcotest.test_case "undecodable frame after the master: kept, reported on read" `Quick

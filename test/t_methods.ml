@@ -171,6 +171,32 @@ let test_sharded_checkpoint_installs () =
   check_outcome "logical" logical;
   Alcotest.(check int) "logical installs no components" 0 logical.Simulator.ckpt_shards
 
+(* A physiological recovery redoes each page's tail with one cache
+   update, which must record the first LSN it redid as the page's
+   recLSN, not the last: a fuzzy checkpoint's dirty-page table takes the
+   cached pages' recLSNs, and the next redo skips what lies below them. *)
+let test_batched_redo_rec_lsn () =
+  let i = Registry.find "physiological" ~cache_capacity:8 ~partitions:4 () in
+  let base = List.init 20 (fun k -> Printf.sprintf "b%02d" k, "v") in
+  List.iter (fun (k, v) -> Method_intf.instance_put i k v) base;
+  ignore (Method_intf.instance_checkpoint_sharded ~domains:1 i);
+  (* Twenty puts on four pages: every page's tail holds several. *)
+  let tail = List.init 20 (fun k -> Printf.sprintf "t%02d" k, string_of_int k) in
+  List.iter (fun (k, v) -> Method_intf.instance_put i k v) tail;
+  Method_intf.instance_sync i;
+  let restart () =
+    Method_intf.instance_crash i;
+    ignore (Method_intf.instance_recover i)
+  in
+  restart ();
+  Method_intf.instance_checkpoint i;
+  restart ();
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option string)) ("acknowledged write " ^ k) (Some v)
+        (Method_intf.instance_get i k))
+    (base @ tail)
+
 let suite =
   [
     Alcotest.test_case "basic api (all methods)" `Quick test_basic_api;
@@ -182,6 +208,8 @@ let suite =
     Alcotest.test_case "sim: physiological" `Quick (test_method "physiological");
     Alcotest.test_case "sim: generalized" `Quick (test_method "generalized");
     Alcotest.test_case "redo work differs by method" `Quick test_methods_disagree_on_redo_work;
+    Alcotest.test_case "recLSN of a batched redo: physiological" `Quick
+      test_batched_redo_rec_lsn;
     Util.qtest ~count:15 "sim torture: physiological" (prop_sim_torture "physiological");
     Util.qtest ~count:15 "sim torture: generalized" (prop_sim_torture "generalized");
     Util.qtest ~count:10 "sim torture: physical" (prop_sim_torture "physical");

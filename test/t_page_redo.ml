@@ -1,6 +1,7 @@
 (* The shared page-LSN redo path: the analysis pass, the surely-on-disk
    test and the page-LSN redo test, on a log built by hand so that every
-   branch is pinned to a known record. *)
+   branch is pinned to a known record; and the per-page drain against
+   the record-by-record test it replaces. *)
 
 open Redo_storage
 open Redo_wal
@@ -104,6 +105,104 @@ let test_redo_one () =
   Alcotest.check lsn_t "stamped with the record's LSN" (Lsn.of_int 6) (Page.lsn page);
   Alcotest.(check bool) "update applied" true (Page.data page = Page.Bytes "new")
 
+(* ---- the per-page drain ---------------------------------------------- *)
+
+(* A log of [ops] on page 1, in order, between records on pages 0 and 2
+   (so the page's LSNs have gaps), forced, with its analysis and page
+   1's queue. *)
+let page_log rng ops =
+  let log = Log_manager.create () in
+  let noise () =
+    if Random.State.int rng 3 = 0 then
+      ignore (Log_manager.append log (put (2 * Random.State.int rng 2)))
+  in
+  let queue =
+    List.map
+      (fun op ->
+        noise ();
+        Log_manager.append log (Record.Physiological { pid = 1; op }))
+      ops
+  in
+  noise ();
+  Log_manager.force_all log;
+  Page_redo.analyze log ~pages:3, Array.of_list queue
+
+(* A cache over a disk that holds [page] as page 1. *)
+let cache_with page =
+  let disk = Disk.create () in
+  Disk.write disk 1 page;
+  Cache.create ~capacity:4 disk
+
+(* The oracle: the page-LSN test record by record, each record decoded. *)
+let redo_each a cache queue =
+  Array.fold_left
+    (fun (redone, skipped) lsn ->
+      match Record.payload (Page_redo.record a lsn) with
+      | Record.Physiological { pid; op } ->
+        if Page_redo.redo_one cache ~pid ~lsn Page_op.apply op then redone + 1, skipped
+        else redone, skipped + 1
+      | _ -> Alcotest.fail "not a page operation")
+    (0, 0) queue
+
+let random_op rng =
+  let k = Printf.sprintf "k%d" (Random.State.int rng 6) in
+  if Random.State.int rng 3 = 0 then Page_op.Del k
+  else Page_op.Put (k, string_of_int (Random.State.int rng 100))
+
+(* The drain equals the record-by-record oracle for a random page and
+   queue, with the page LSN below, inside or above the queue. *)
+let prop_drain_is_redo_one seed =
+  let rng = Random.State.make [| 0xd4a1; seed |] in
+  let ops = List.init (Random.State.int rng 12) (fun _ -> random_op rng) in
+  let a, queue = page_log rng ops in
+  let last = if queue = [||] then 0 else Lsn.to_int queue.(Array.length queue - 1) in
+  let page_lsn =
+    match seed mod 3 with
+    | 0 -> 0
+    | 1 -> Random.State.int rng (last + 1)
+    | _ -> last + Random.State.int rng 3
+  in
+  let data =
+    if Random.State.bool rng then Page.Empty
+    else Util.kv (List.init (Random.State.int rng 5) (fun i -> Printf.sprintf "k%d" i, "old"))
+  in
+  let page = Page.make ~lsn:(Lsn.of_int page_lsn) data in
+  let drained = cache_with page and oracle = cache_with page in
+  let counts = Page_redo.drain a drained ~pid:1 queue in
+  let expected = redo_each a oracle queue in
+  let updates = (Cache.stats drained).updates in
+  let p = Cache.read drained 1 and q = Cache.read oracle 1 in
+  counts = expected
+  && Page.data_equal (Page.data p) (Page.data q)
+  && Lsn.equal (Page.lsn p) (Page.lsn q)
+  && Option.equal Lsn.equal (Cache.rec_lsn drained 1) (Cache.rec_lsn oracle 1)
+  && Cache.is_dirty drained 1 = Cache.is_dirty oracle 1
+  && if fst counts = 0 then (not (Cache.is_dirty drained 1)) && updates = 0 else updates = 1
+
+let test_drain_del_on_empty () =
+  let a, queue = page_log (Random.State.make [| 1 |]) [ Page_op.Del "a"; Page_op.Put ("b", "1") ] in
+  let cache = cache_with Page.empty in
+  Alcotest.(check (pair int int)) "both redone" (2, 0) (Page_redo.drain a cache ~pid:1 queue);
+  let page = Cache.read cache 1 in
+  Alcotest.(check bool) "the Del formats the page, the Put fills it" true
+    (Page.data_equal (Util.kv [ "b", "1" ]) (Page.data page));
+  Alcotest.check lsn_t "stamped with the queue's last LSN" queue.(1) (Page.lsn page);
+  Alcotest.(check (option lsn_t)) "recLSN: the first LSN redone" (Some queue.(0))
+    (Cache.rec_lsn cache 1)
+
+let test_drain_covered_queue () =
+  let a, queue =
+    page_log (Random.State.make [| 2 |]) [ Page_op.Put ("a", "1"); Page_op.Put ("b", "2") ]
+  in
+  let page = Page.make ~lsn:queue.(1) (Util.kv [ "a", "1"; "b", "2" ]) in
+  let cache = cache_with page in
+  Alcotest.(check (pair int int)) "nothing to redo" (0, 0) (Page_redo.drain a cache ~pid:1 [||]);
+  Alcotest.(check int) "an empty queue reads no page" 0 (Cache.stats cache).misses;
+  Alcotest.(check (pair int int)) "both skipped" (0, 2) (Page_redo.drain a cache ~pid:1 queue);
+  Alcotest.(check bool) "the page stays clean" false (Cache.is_dirty cache 1);
+  Alcotest.(check int) "and is not updated" 0 (Cache.stats cache).updates;
+  Alcotest.(check bool) "and keeps its image" true (Page.equal page (Cache.read cache 1))
+
 let suite =
   [
     Alcotest.test_case "analysis: DPT recLSN older than the checkpoint" `Quick
@@ -112,4 +211,8 @@ let suite =
     Alcotest.test_case "scan_start without an older recLSN" `Quick
       test_scan_start_without_table;
     Alcotest.test_case "redo_one: the page-LSN test" `Quick test_redo_one;
+    Util.qtest ~count:300 "drain = redo_one record by record" prop_drain_is_redo_one;
+    Alcotest.test_case "drain: a Del on an Empty page" `Quick test_drain_del_on_empty;
+    Alcotest.test_case "drain: a covered queue leaves the page alone" `Quick
+      test_drain_covered_queue;
   ]
